@@ -175,7 +175,6 @@ def run_bench() -> dict:
         state = tempfile.mkdtemp(prefix=f"raycrawl_bench_{tag}_")
         kw = dict(
             mode="ray",
-            ray_exec="pull",   # continuous scheduler: no epoch barrier
             num_shards=num_shards,
             epoch_budget=max(100_000, c.num_rows),
             fetch_concurrency=workers,
@@ -784,7 +783,6 @@ def run_bigcorpus() -> dict:
     cfg = CrawlConfig(
         state_dir=state,
         mode="ray",
-        ray_exec="pull",
         num_shards=num_shards,
         epoch_budget=max(100_000, n_pages),
         fetch_concurrency=workers,
@@ -800,7 +798,9 @@ def run_bigcorpus() -> dict:
 
     # live memory sampler: max PSS (proportional — shared plasma mmaps
     # divided across mappers) and RSS per fetch worker + the driver
-    pids = dict(engine._worker_pids)
+    pids = dict(
+        enumerate(ray.get([w.pid.remote() for w in engine.workers]))
+    )
     pids["driver"] = os.getpid()
     peak = {k: {"pss_mb": 0.0, "rss_mb": 0.0} for k in pids}
     stop = threading.Event()

@@ -119,7 +119,6 @@ def _build_config(args, n_cpus: int):
     return CrawlConfig(
         state_dir=args.state_dir,
         mode="ray",
-        ray_exec=args.exec_mode,
         num_shards=shards,
         epoch_budget=args.epoch_budget,
         fetch_concurrency=workers,
@@ -226,9 +225,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", type=int, default=4096)
     p.add_argument("--node-dispatchers", type=int, default=0)
     p.add_argument("--epoch-budget", type=int, default=1_000_000)
-    p.add_argument(
-        "--exec-mode", choices=["pull", "actors"], default="pull"
-    )
     p.add_argument(
         "--seen-filter", choices=["bloom", "exact"], default="bloom"
     )

@@ -1,20 +1,33 @@
-"""The epoch crawl loop: frontier scheduling → fetch/extract → dedup.
+"""The crawl loop: frontier scheduling → fetch/extract → dedup.
 
 Rebuilds the reference crawler's processOne loop
-(/root/reference/test/unit/processingTests.js:48-51 pins its observable
+(the reference's test/unit/processingTests.js:48-51 pins its observable
 behavior: pop → fetch → visit → store → queue children → done/abandon)
-as a batch-epoch pipeline (SURVEY §3.5):
+over two executors that share every kernel:
+
+``mode='ray'`` — the continuous pull scheduler (``_run_pull``): the
+driver keeps every fetch-worker actor ~2 chunks deep with take waves
+from the FrontierShard actors, with no epoch barrier. Politeness,
+compute-budget benching and retries run shard- and worker-side;
+candidate links go straight from the workers to their owning shards.
+Every 16 cycles a checkpoint drains the pipeline, acks the workers'
+offers, flushes the shards' admitted spools and advances the manifest.
+
+``mode='local'`` — the single-process golden executor: a barriered
+epoch loop (the reference's InMemory crawler mode,
+lib/crawlerFactory.js:117-130) with exact traversal order, used for
+the golden-parity tests:
 
     loop epoch e:
-      take: weighted per-queue quotas from the shard actors
+      take: weighted per-queue quotas from the shards
             (pop weights events 10 / immediate 3 / soon 2 / normal 3 /
              later 2 — reference lib/crawlerFactory.js:80)
       politeness: per-host allowance (rate × epoch window); overflow rows
             deferred with not_before = now + deferDelay
             (reference lib/crawlerFactory.js:74)
-      fetch+visit+sink+route: ray.data.Dataset.map_batches actor pool
+      fetch+visit+sink+route: the CrawlWorkerStage kernel
             (stages/fetch.py) — documents to Parquet, candidate links
-            offered to the owning FrontierShard, only failures return
+            offered to the owning shard, only failures return
       retry ledger: failed rows re-queued to the 'immediate' queue with
             attempt_count+1 (reference _retryQueue,
             lib/crawlerFactory.js:678); attempts ≥ max → deadletter
@@ -22,15 +35,8 @@ as a batch-epoch pipeline (SURVEY §3.5):
       lineage: every shard flushes its admitted rows per epoch
             (delta-store analogue, providers/storage/deltaStore.js)
 
-The driver only ever holds frontier METADATA rows (≤ epoch_budget of
-~150-byte url rows — the analogue of the reference's 100-message
-prefetch credit, lib/crawlerFactory.js:79); page bodies live entirely
-inside the distributed stage. Termination: all shards drained.
-
-``mode='local'`` runs the identical kernels eagerly in-process (the
-reference's InMemory crawler mode, lib/crawlerFactory.js:117-130) —
-used for the single-loop golden-parity tests and for budget=1 runs
-where per-epoch Dataset overhead would dominate.
+The driver only ever holds frontier METADATA rows; page bodies live
+entirely inside the fetch workers. Termination: all shards drained.
 """
 
 from __future__ import annotations
@@ -87,8 +93,10 @@ class CrawlConfig:
     pending_cap: int | None = None
     seen_capacity: int = 1_000_000   # per shard (bloom)
     seen_fpr: float = 1e-3
+    # 'ray': the continuous pull executor; 'local': the single-process
+    # epoch loop. epoch_budget and max_epochs bind only in 'local' —
+    # the pull executor sizes each take wave by its pool's free depth.
     mode: str = "ray"                # 'ray' | 'local'
-    ray_exec: str = "actors"  # 'pull' (continuous) | 'actors' (epochs)
     fetch_concurrency: int = 8
     fetch_batch_size: int = 2048
     # pull-executor dispatch tier (BASELINE.md "dispatch ceiling" scale
@@ -123,8 +131,9 @@ class CrawlConfig:
     # T7/T8 robots half: ingest http://<host>/robots.txt pages from the
     # corpus at engine construction — Crawl-delay throttles the host's
     # politeness allowance, Disallow prefixes drop discovered links in
-    # the candidate path (never fetched). Requires epoch mode when any
-    # crawl-delay exists (exact politeness windows).
+    # the candidate path (never fetched). Both executors enforce the
+    # crawl-delay allowance per logical window (ray: inside the
+    # shards' take(), see FrontierShardState.configure_politeness).
     respect_robots: bool = False
     # T7/T8 multi-identity fetch pool (reference tokenFactory.js:6-29,
     # limitedTokenFactory.js:19-51; caps at lib/crawlerFactory.js:68-69):
@@ -209,11 +218,6 @@ class CrawlResult:
             return DOCUMENT_SCHEMA.empty_table()
         return pa.concat_tables(pq.read_table(f) for f in files)
 
-    def documents_dataset(self):
-        import ray.data
-
-        return ray.data.read_parquet(self.documents_dir)
-
     def deadletters_table(self) -> pa.Table:
         files = sorted(glob(os.path.join(self.state_dir, "deadletters", "*.parquet")))
         if not files:
@@ -274,11 +278,12 @@ def _route_holder(cfg: "CrawlConfig"):
 class NodeDispatcher:
     """Per-node dispatch tier for the pull executor (BASELINE.md
     "dispatch ceiling" scale path #2). The driver sends one LEASE — a
-    list of (table_ref, offset, size) chunks — per RPC; this actor fans
-    the chunks out to its node-local worker group and returns ONE
-    merged result table, so the driver pays O(leases) instead of
-    O(chunks). At the measured ~4 ms driver CPU per RPC and 8-16
-    workers per group, the single-driver ceiling moves from ~74
+    list of (table_ref, offset, size, clock_us) chunks, each stamped
+    with the clock of the take wave that admitted it — per RPC; this
+    actor fans the chunks out to its node-local worker group and
+    returns ONE merged result table, so the driver pays O(leases)
+    instead of O(chunks). At the measured ~4 ms driver CPU per RPC and
+    8-16 workers per group, the single-driver ceiling moves from ~74
     workers to the thousands.
 
     Concurrency model: created with max_concurrency > 1 so consecutive
@@ -318,11 +323,11 @@ class NodeDispatcher:
     def ping(self) -> bool:
         return True
 
-    def lease(self, chunks: list, cycle: int, clock_us: int) -> pa.Table:
+    def lease(self, chunks: list, cycle: int) -> pa.Table:
         import ray
 
         remaining: dict = {}
-        for tref, off, size in chunks:
+        for tref, off, size, clock_us in chunks:
             with self._lock:
                 w = min(
                     range(len(self.workers)), key=self._out.__getitem__
@@ -369,11 +374,11 @@ class CrawlEngine:
                     "supported: a lease fans chunks to any group "
                     "member (see CrawlConfig.align_corpus_ranges)"
                 )
-            if cfg.mode != "ray" or cfg.ray_exec != "pull":
+            if cfg.mode != "ray":
                 raise ValueError(
                     "align_corpus_ranges is a pull-executor feature "
                     "(the affinity lives in its dispatch loop); got "
-                    f"mode={cfg.mode!r} ray_exec={cfg.ray_exec!r}"
+                    f"mode={cfg.mode!r}"
                 )
         os.makedirs(cfg.state_dir, exist_ok=True)
         self.docs_dir = os.path.join(cfg.state_dir, "documents")
@@ -445,7 +450,7 @@ class CrawlEngine:
             )
         # T11/X5 live config: subsystem option dicts with change hooks;
         # patches queue via patch_config() and land at the next epoch
-        # boundary (_apply_config_patches in run()).
+        # (local) or pull-cycle (ray) boundary.
         from ..state.liveconfig import RefreshingConfig
 
         self._live = {
@@ -472,7 +477,6 @@ class CrawlEngine:
         self._baseline_keys = {
             sub: frozenset(c.values) for sub, c in self._live.items()
         }
-        self._exec_active: str | None = None
         self._pending_patches: list[dict] = []
         self._epoch_callbacks: list = []
         self._cached_counts = None  # per-epoch counts piggybacked on flush
@@ -516,33 +520,27 @@ class CrawlEngine:
                 snapshot_id=cfg.snapshot_id,
                 pending_cap=cfg.pending_cap,
             )
-            self.workers = []
-            if cfg.ray_exec in ("actors", "pull"):
-                # never request more CPU-reserving actors than the
-                # cluster has — a pool larger than the CPU count leaves
-                # actors pending forever and the epoch barrier deadlocks
-                total_cpus = int(ray.cluster_resources().get("CPU", 1))
-                self._total_cpus = total_cpus
-                n_workers = max(1, min(cfg.fetch_concurrency, total_cpus))
-                self.workers = [
-                    self._spawn_worker(wi) for wi in range(n_workers)
-                ]
-                # Block until every shard and worker has finished its
-                # __init__ (workers resolve the corpus ref there).
-                # Spawning 30+ actor processes costs seconds of
-                # interpreter startup; paying it at construction keeps
-                # cold-start out of the crawl itself — on a real
-                # cluster this is pool provisioning, like ray.init.
-                ray.get(
-                    [s.counts.remote() for s in self.shards]
-                    + [w.ping.remote() for w in self.workers]
-                )
-                # incarnation baseline for the checked offer drain
-                self._worker_pids = dict(
-                    enumerate(
-                        ray.get([w.pid.remote() for w in self.workers])
-                    )
-                )
+            # never request more CPU-reserving actors than the cluster
+            # has — a pool larger than the CPU count leaves actors
+            # pending forever and the crawl waits on them
+            self._total_cpus = int(ray.cluster_resources().get("CPU", 1))
+            self.workers = [
+                self._spawn_worker(wi)
+                for wi in range(self._clamp_pool(cfg.fetch_concurrency))
+            ]
+            # target pool size of a live /fetcher/concurrency patch,
+            # applied by the pull loop at its next checkpoint
+            self._pool_target = len(self.workers)
+            # Block until every shard and worker has finished its
+            # __init__ (workers resolve the corpus ref there). Spawning
+            # 30+ actor processes costs seconds of interpreter startup;
+            # paying it at construction keeps cold-start out of the
+            # crawl itself — on a real cluster this is pool
+            # provisioning, like ray.init.
+            ray.get(
+                [s.counts.remote() for s in self.shards]
+                + [w.ping.remote() for w in self.workers]
+            )
         else:
             self.shards = [
                 FrontierShardState(
@@ -580,7 +578,6 @@ class CrawlEngine:
         self._trace(
             "engine_start",
             mode=cfg.mode,
-            ray_exec=cfg.ray_exec if cfg.mode == "ray" else "",
             num_shards=cfg.num_shards,
             workers=len(getattr(self, "workers", []) or []),
             corpus_shards=(
@@ -619,20 +616,30 @@ class CrawlEngine:
         pq.write_table(table, tmp)
         os.replace(tmp, os.path.join(self.cfg.state_dir, "trace.parquet"))
 
+    def _clamp_pool(self, want: int) -> int:
+        return max(1, min(int(want), self._total_cpus))
+
     def _spawn_worker(self, wi: int):
         """One fetch-worker actor (ray mode). Factored out so the live
         config's pool-resize (the AMQP credit-resize analogue,
-        amqp10Queue.js:303-310) can grow the pool mid-crawl."""
+        amqp10Queue.js:303-310) can grow the pool mid-crawl.
+
+        The crawl drives persistent actors rather than a Ray Data
+        ``map_batches`` stage on purpose: a Dataset's schema peek
+        re-executes a prefix of the plan, so a SIDE-EFFECTING stage
+        (offers, retries, deadletter writes) runs twice, and its actor
+        pool is torn down after every execution while the crawl is
+        iterative (both re-checked on ray 2.49.2). Every non-iterative
+        pipeline (analytics.py, textops.py) stays on Dataset."""
         import ray
 
         cfg = self.cfg
         pin = wi if cfg.pin_workers else None
-        if pin is None and cfg.reserve_cores > 0:
-            total = getattr(self, "_total_cpus", None) or int(
-                ray.cluster_resources().get("CPU", 1)
-            )
-            if total > cfg.reserve_cores + 1:
-                pin = tuple(range(cfg.reserve_cores, total))
+        total = self._total_cpus
+        if pin is None and cfg.reserve_cores > 0 and (
+            total > cfg.reserve_cores + 1
+        ):
+            pin = tuple(range(cfg.reserve_cores, total))
         worker_cls = ray.remote(
             num_cpus=1,
             max_restarts=cfg.worker_max_restarts,
@@ -647,8 +654,6 @@ class CrawlEngine:
             docs_dir=self.docs_dir,
             child_queue=cfg.child_queue,
             attenuate=cfg.attenuate,
-            blocking_offers=False,
-            flush_each_batch=(cfg.ray_exec == "pull"),
             max_attempts=cfg.max_attempts,
             retry_queue=cfg.retry_queue,
             dead_dir=self.dead_dir,
@@ -704,16 +709,21 @@ class CrawlEngine:
     def patch_config(self, patches) -> None:
         """Queue a config PATCH; it lands at the NEXT epoch (or pull
         cycle) boundary so every cycle runs under one consistent
-        snapshot. Accepts the reference's flat op list (``[{"op",
-        "path", "value"}]``, paths like ``/crawler/host_rate_per_sec``)
-        or a convenience dict ``{"crawler": {"host_rate_per_sec": 50}}``.
+        snapshot — except a ``/fetcher/concurrency`` pool resize, which
+        the pull executor applies at its next checkpoint, when nothing
+        is in flight and every offer is acked. Accepts the reference's
+        flat op list (``[{"op", "path", "value"}]``, paths like
+        ``/crawler/host_rate_per_sec``) or a convenience dict
+        ``{"crawler": {"host_rate_per_sec": 50}}``.
 
         Validation is EAGER (the reference rejects an invalid PATCH at
         the route while the crawl continues, routes/config.js): unknown
         subsystems, unsupported ops, malformed paths, and removal of
         hook-read baseline keys raise HERE, so _apply_config_patches —
         which runs mid-crawl — is infallible and a bad request can
-        never abort a running crawl or drop sibling patches."""
+        never abort a running crawl or drop sibling patches. A pool
+        resize under the dispatcher tier (node_dispatchers > 0) is
+        rejected: the tier's worker groups are fixed for a run."""
         if isinstance(patches, dict):
             patches = [
                 {"op": "replace", "path": f"/{sub}/{key}", "value": v}
@@ -743,12 +753,22 @@ class CrawlEngine:
                         f"cannot remove baseline config key "
                         f"{sub}/{key} (change hooks depend on it)"
                     )
+                if (sub, key) == ("fetcher", "concurrency") and (
+                    self.cfg.node_dispatchers > 0
+                ):
+                    raise ValueError(
+                        "cannot resize the fetch pool under the "
+                        "dispatcher tier (node_dispatchers > 0)"
+                    )
         self._pending_patches.extend(patches)
 
     def on_epoch(self, callback) -> None:
         """Register a per-epoch hook ``cb(engine, epoch, stats)`` —
         the monitoring/ops surface tests and dashboards use (the
-        reference's change-listener analogue)."""
+        reference's change-listener analogue). ``mode='local'`` calls
+        it after every epoch; the pull executor calls it once per
+        checkpoint with that interval's counters, the cycle label as
+        ``epoch`` and the same stats keys."""
         self._epoch_callbacks.append(callback)
 
     def config_snapshot(self) -> dict:
@@ -863,34 +883,9 @@ class CrawlEngine:
             self.compute_budget = None
             self._set_worker_host_cost(False)
         # pool resize (credit-resize analogue, amqp10Queue.js:303-310):
-        # grow by spawning actors, shrink by killing the tail. Epoch
-        # mode only — the pull executor sizes its dispatch state once.
-        want = int(vals["concurrency"])
-        if self.cfg.mode == "ray" and self.cfg.ray_exec == "actors":
-            import ray
-
-            total_cpus = int(ray.cluster_resources().get("CPU", 1))
-            want = max(1, min(want, total_cpus))
-            have = len(self.workers)
-            if want > have:
-                new = [self._spawn_worker(wi) for wi in range(have, want)]
-                ray.get([w.ping.remote() for w in new])
-                pids = getattr(self, "_worker_pids", {})
-                for wi, p in zip(
-                    range(have, want),
-                    ray.get([w.pid.remote() for w in new]),
-                ):
-                    pids[wi] = p
-                self._worker_pids = pids
-                self.workers.extend(new)
-            elif want < have:
-                for w in self.workers[want:]:
-                    ray.kill(w, no_restart=True)
-                del self.workers[want:]
-                pids = getattr(self, "_worker_pids", {})
-                for wi in list(pids):
-                    if wi >= want:
-                        del pids[wi]
+        # recorded here, applied by the pull loop at its next checkpoint
+        if self.cfg.mode == "ray":
+            self._pool_target = self._clamp_pool(vals["concurrency"])
 
     # -- shard RPC helpers (transparent local/ray) -------------------------
 
@@ -1022,98 +1017,12 @@ class CrawlEngine:
     # -- epoch body --------------------------------------------------------
 
     def _process(self, epoch_table: pa.Table, epoch: int, now_us: int) -> pa.Table:
-        # Chunk small enough that the pool load-balances (visit cost per
-        # chunk varies with page size / out-degree — static round-robin
-        # of batch_size chunks measured ~50% worker utilization at 32
-        # CPUs), large enough that per-chunk dispatch overhead stays
-        # negligible.
-        n = epoch_table.num_rows
-        pool = max(1, len(getattr(self, "workers", [])) or self.cfg.fetch_concurrency)
-        if self.cfg.mode == "local":
-            chunk = self.cfg.fetch_batch_size
-            self._local_worker.set_epoch(epoch, now_us)
-            return pa.concat_tables(
-                self._local_worker(epoch_table.slice(off, chunk))
-                for off in range(0, n, chunk)
-            )
-        import ray
-
-        if self.workers:
-            # Persistent actor pool (see CrawlWorkerStage.process) with
-            # dynamic dispatch: fixed chunk size of ~n/(pool*4) (guided
-            # decreasing chunks were measured WORSE — tiny tail chunks
-            # inflate per-chunk kernel overhead 50%), two chunks in
-            # flight per worker (double buffer), refill whichever
-            # worker finishes first; a worker whose last chunk
-            # completes starts draining its buffered frontier offers
-            # immediately, overlapping shard-side dedup with the rest
-            # of the pool's compute.
-            chunk_size = max(
-                256,
-                min(self.cfg.fetch_batch_size, math.ceil(n / (pool * 4))),
-            )
-            epoch_ref = ray.put(epoch_table.combine_chunks())
-            pos = 0
-            inflight: dict = {}  # result ObjectRef -> worker index
-            outstanding = [0] * len(self.workers)
-            results: list = []
-            drain_refs: list = []
-            ranges: dict[int, list] = {}  # widx -> [(off, size)] ack window
-
-            def dispatch(widx: int) -> bool:
-                nonlocal pos
-                if pos >= n:
-                    return False
-                ref = self.workers[widx].process_range.remote(
-                    epoch_ref, pos, chunk_size, epoch, now_us
-                )
-                ranges.setdefault(widx, []).append((pos, chunk_size))
-                pos += chunk_size
-                inflight[ref] = widx
-                outstanding[widx] += 1
-                return True
-
-            for widx in range(len(self.workers)):
-                for _ in range(3):
-                    dispatch(widx)
-            while inflight:
-                done, _ = ray.wait(
-                    list(inflight), num_returns=1, fetch_local=True
-                )
-                widx = inflight.pop(done[0])
-                outstanding[widx] -= 1
-                results.append(done[0])
-                if not dispatch(widx) and outstanding[widx] == 0:
-                    drain_refs.append(
-                        (widx, self.workers[widx].drain_info.remote())
-                    )
-            self._drain_refs = drain_refs
-            # held for the checked drain at the epoch barrier: a pid
-            # change between acks means this window's fire-and-forget
-            # offers may have died with the old incarnation and must
-            # replay (side-effect-only)
-            self._epoch_ack = (epoch_ref, ranges, epoch, now_us)
-            return pa.concat_tables(ray.get(results))
-        # NOTE: an earlier ray_exec='dataset' branch ran this stage via
-        # ray.data.from_arrow(chunks).map_batches(CrawlWorkerStage, ...)
-        # per epoch. Removed deliberately: (a) Ray Data's schema peek
-        # executes a limit-1 prefix of the plan, so the SIDE-EFFECTING
-        # stage (offers, retries, deadletter writes) ran twice per
-        # epoch — measured as 4x-inflated deadletters; (b) the actor
-        # pool is torn down at the end of every Dataset execution and
-        # the crawl is iterative. Dataset/map_batches remains the
-        # substrate for every non-iterative pipeline in
-        # pipelines/analytics.py + textops.py — the crawl's inner loop
-        # is exactly the "shared mutable state" case where raw actors
-        # are the documented escape hatch.
-        # RE-VALIDATED on ray 2.49.2 (probe, 2026-08-17): (a) schema()
-        # on a map_batches plan re-executes the stage — a 1000-row
-        # side-effecting stage saw 2000 rows under schema()+take_all
-        # (take_all alone saw 1000); (b) a concurrency=2 callable-class
-        # pool logged 2 __init__ calls on the first execution and a 3rd
-        # on re-execution of the same Dataset — pools do not persist.
-        # Both reasons for the escape hatch still hold on this release.
-        raise ValueError(f"unknown ray_exec mode: {self.cfg.ray_exec!r}")
+        chunk = self.cfg.fetch_batch_size
+        self._local_worker.set_epoch(epoch, now_us)
+        return pa.concat_tables(
+            self._local_worker(epoch_table.slice(off, chunk))
+            for off in range(0, epoch_table.num_rows, chunk)
+        )
 
     def _charge_host_costs(
         self, result: pa.Table, now_us: int
@@ -1151,10 +1060,6 @@ class CrawlEngine:
         return result, changed
 
     def _epoch(self, epoch: int, now_us: int) -> dict:
-        import time as _time
-
-        _dbg = os.environ.get("RAYCRAWL_TIMING")
-        _t0 = _time.perf_counter()
         counts = self._cached_counts
         if counts is None:
             counts = self._call("counts")
@@ -1165,9 +1070,7 @@ class CrawlEngine:
                  "deadlettered": 0}
         if pending == 0:
             return stats
-        _t1 = _time.perf_counter()
-        takes = self._call_take(per_shard, now_us)
-        _t2 = _time.perf_counter()
+        takes = [s.take(q, now_us) for s, q in zip(self.shards, per_shard)]
         taken = [t for t in takes if t.num_rows]
         if not taken:
             return stats  # everything deferred; caller advances the clock
@@ -1254,9 +1157,7 @@ class CrawlEngine:
             stats["deferred"] = deferred.num_rows
             epoch_table = epoch_table.filter(pa.array(admit))
 
-        _t3 = _time.perf_counter()
         result = self._process(epoch_table, epoch, now_us)
-        _t4 = _time.perf_counter()
 
         if self.compute_budget is not None:
             result, _ = self._charge_host_costs(result, now_us)
@@ -1288,101 +1189,8 @@ class CrawlEngine:
                 stats["failed"] = failed.num_rows
                 self._handle_failures(failed, epoch, now_us, stats)
 
-        if self.cfg.mode == "ray" and self.workers:
-            # non-blocking offers: the CHECKED drain is the epoch
-            # barrier — every shard must have processed its offers
-            # before the next take, and a worker that restarted since
-            # the last ack replays its window (see drain_info).
-            # _process already issued each worker's drain_info the
-            # moment its last chunk finished, so most of the wait is
-            # overlapped.
-            stats["admitted"] = self._checked_epoch_drain()
         self._docs_written += stats["docs"]
-        if _dbg:
-            _t5 = _time.perf_counter()
-            print(
-                f"[epoch {epoch}] taken={stats['taken']} docs={stats['docs']} "
-                f"counts={_t1-_t0:.2f}s take={_t2-_t1:.2f}s "
-                f"sort+polite={_t3-_t2:.2f}s process={_t4-_t3:.2f}s "
-                f"post={_t5-_t4:.2f}s",
-                flush=True,
-            )
         return stats
-
-    def _checked_epoch_drain(self) -> int:
-        """Epoch-mode ack point of the at-least-once offer contract
-        (mirrors the pull loop's drain_workers): resolve the overlapped
-        drain_info refs, and when a worker's pid changed since the last
-        ack — it restarted, so buffered / fire-and-forget offers from
-        ranges whose results were already delivered died with the old
-        process, and Ray's transparent task retry never replays a
-        delivered result — re-run that worker's range window for side
-        effects only. Replayed results are discarded (counters were
-        absorbed once); shard insert-if-absent and the last-wins doc
-        compaction make the replay idempotent. Returns summed admits."""
-        import ray
-
-        admits = 0
-        pairs = getattr(self, "_drain_refs", [])
-        self._drain_refs = []
-        epoch_ref, ranges, epoch, now_us = getattr(
-            self, "_epoch_ack", (None, {}, 0, 0)
-        )
-        self._epoch_ack = None
-        infos = dict(
-            zip([w for w, _ in pairs], ray.get([r for _, r in pairs]))
-        )
-        pids = getattr(self, "_worker_pids", {})
-        for _ in range(self.cfg.worker_max_restarts + 2):
-            admits += sum(i["admits"] for i in infos.values())
-            hit = [
-                widx
-                for widx, i in infos.items()
-                if pids.get(widx) is not None and pids[widx] != i["pid"]
-            ]
-            for widx, i in infos.items():
-                pids[widx] = i["pid"]
-            if not hit:
-                break
-            self._trace("worker_restart", workers=sorted(hit),
-                        executor="epochs", epoch=epoch)
-            replay = [
-                self.workers[widx].process_range.remote(
-                    epoch_ref, off, size, epoch, now_us
-                )
-                for widx in hit
-                for off, size in ranges.get(widx, ())
-            ]
-            ray.get(replay)  # discarded: absorbed once already
-            infos = dict(
-                zip(
-                    hit,
-                    ray.get(
-                        [self.workers[w].drain_info.remote() for w in hit]
-                    ),
-                )
-            )
-        else:
-            self._trace("abort", reason="epoch-drain worker restart loop")
-            self._write_trace()
-            raise RuntimeError(
-                "fetch workers kept restarting during the epoch drain; "
-                "aborting — resume from the last checkpoint"
-            )
-        self._worker_pids = pids
-        return admits
-
-    def _call_take(self, per_shard, now_us: int):
-        if self.cfg.mode == "ray":
-            import ray
-
-            return ray.get(
-                [
-                    s.take.remote(q, now_us)
-                    for s, q in zip(self.shards, per_shard)
-                ]
-            )
-        return [s.take(q, now_us) for s, q in zip(self.shards, per_shard)]
 
     def _handle_failures(
         self,
@@ -1451,7 +1259,8 @@ class CrawlEngine:
         start_epoch: int = 0,
         max_urls: int | None = None,
     ) -> CrawlResult:
-        """Run the crawl to completion (or ``max_urls``).
+        """Run the crawl to completion (or ``max_urls``): the pull
+        executor in ray mode, the epoch loop in local mode.
 
         Failure domains: fetch WORKERS restart transparently
         (worker_max_restarts, at-least-once replay). A frontier SHARD
@@ -1462,16 +1271,7 @@ class CrawlEngine:
         state_dir converges to the exact same crawl (tested under
         SIGKILL)."""
         cfg = self.cfg
-        if cfg.mode == "ray" and cfg.ray_exec == "pull":
-            # Politeness under pull runs INSIDE the shards' take()
-            # (FrontierShardState.configure_politeness): each pull
-            # cycle is one logical window (start_refill advances the
-            # clock by epoch_us per cycle), each shard admits its
-            # rotating share of the global per-host allowance, so the
-            # window semantics stay exact with no driver barrier.
-            # Token pools (T7/T8) gate worker-side and compute budgets
-            # (T6) charge in absorb() -> shard set_benched, so every
-            # politeness-bounded config now gets the fast executor.
+        if cfg.mode == "ray":
             return self._run_pull(seeds, max_urls, start_cycle=start_epoch)
         self._trace(
             "crawl_start", executor="epochs",
@@ -1485,16 +1285,6 @@ class CrawlEngine:
         processed = 0
         while epoch < cfg.max_epochs:
             self._apply_config_patches()  # T11/X5: cycle-boundary patch
-            # config heartbeat (see lineage_flush): restarted workers
-            # revert live deltas to constructor values; re-pushing per
-            # epoch bounds the revert window to one epoch (both
-            # directions — a stray revert to ON would also corrupt the
-            # engine's non-summary row counting)
-            if self.cfg.mode == "ray":
-                for w in self.workers:
-                    w.set_track_host_cost.remote(
-                        self.compute_budget is not None
-                    )
             stats = self._epoch(epoch, clock_us)
             for cb in self._epoch_callbacks:
                 cb(self, epoch, stats)
@@ -1516,37 +1306,42 @@ class CrawlEngine:
             self._write_manifest(epoch - 1, completed=False)
             if max_urls is not None and processed >= max_urls:
                 break
-        # cumulative shard counters (incl. spill round-trips) as final
-        # metric rows — the shards' own ledger, not the driver's
-        for name in ("spilled", "unspilled", "bounce"):
+        return self._finish(epoch, ("spilled", "unspilled", "bounce"),
+                            epochs=epoch)
+
+    def _finish(self, label: int, shard_counters: tuple, **stop):
+        """Close a crawl: the shards' cumulative counters (incl. spill
+        round-trips) as final metric rows — the shards' own ledger, not
+        the driver's — then metrics, lineage, trace, the seen-set
+        digest and the completed manifest."""
+        import hashlib
+
+        for name in shard_counters:
             total = sum(
                 m.get(name, 0)
                 for m in getattr(self, "_last_shard_metrics", [])
             )
             self._metrics_rows.append(
-                {"epoch": epoch, "name": name, "value": total}
+                {"epoch": label, "name": name, "value": total}
             )
         self._flush_persec_rows()
         self._trace(
-            "crawl_stop", epochs=epoch, docs=self._docs_written,
-            failed=self._failed, deadlettered=self._dead,
+            "crawl_stop", docs=self._docs_written, failed=self._failed,
+            deadlettered=self._dead, **stop,
         )
         metrics = self._metrics_table()
         self._write_tables(metrics)
         seen_counts = self._call("seen_count")
         digests = self._call("seen_digest")
-        import hashlib
-
-        overall = hashlib.sha1("".join(digests).encode()).hexdigest()
-        self._write_manifest(epoch, completed=True)
+        self._write_manifest(label, completed=True)
         return CrawlResult(
-            state_dir=cfg.state_dir,
-            epochs=epoch,
+            state_dir=self.cfg.state_dir,
+            epochs=label,
             docs_written=self._docs_written,
             failed=self._failed,
             deadlettered=self._dead,
             seen_count=sum(seen_counts),
-            seen_digest=overall,
+            seen_digest=hashlib.sha1("".join(digests).encode()).hexdigest(),
             metrics=metrics,
         )
 
@@ -1561,18 +1356,27 @@ class CrawlEngine:
         """Continuous scheduler: no epoch barrier. The driver keeps
         every worker ~2 chunks deep; takes, dispatches, offers
         (flushed per batch by the workers), retries and lineage
-        flushes all overlap. The epoch-mode barrier (take → process →
-        drain → flush) was measured at ~40-60% worker utilization at
-        32 CPUs — the barrier tail plus per-epoch serial phases are
-        Amdahl's-law poison for the N→4N scaling criterion.
+        flushes all overlap. A barriered Ray epoch loop (take →
+        process → drain → flush) was measured at ~40-60% worker
+        utilization at 32 CPUs — the barrier tail plus per-epoch
+        serial phases are Amdahl's-law poison for the N→4N scaling
+        criterion.
 
         Priority is approximate global (each shard's take is exact
         (depth, discovery_ts) order; waves interleave shards), which is
         the documented production ordering (SURVEY §2.9 W7) — exact
         traversal parity stays with the single-threaded local mode.
-        The politeness gate must be unbounded here (no robots throttle,
-        allowance ≥ wave size); configs that actually rate-limit run in
-        epoch mode where the window semantics are exact."""
+
+        Politeness runs INSIDE the shards' take()
+        (FrontierShardState.configure_politeness): each take wave is
+        one logical window (start_refill advances the clock by
+        epoch_us per wave) and each shard admits its rotating share of
+        the global per-host allowance. Every chunk is processed — and
+        its documents stamped — at the clock of the wave that admitted
+        it, so no host exceeds its allowance in any one window of
+        ``processed_at``, with no driver barrier. Token pools (T7/T8)
+        gate worker-side; compute budgets (T6) charge in absorb() and
+        bench hosts via the shards' set_benched."""
         import ray
         import time as _time
 
@@ -1582,7 +1386,6 @@ class CrawlEngine:
                "cycles": 0, "chunks": 0, "sweeps": 0, "leases": 0}
         _t = _time.perf_counter()
         cfg = self.cfg
-        self._exec_active = "pull"
         self._trace(
             "crawl_start", executor="pull",
             seeds=len(seeds or []), start_cycle=start_cycle,
@@ -1643,14 +1446,20 @@ class CrawlEngine:
         # max(1, C/S) of them, zero cold re-pulls (asserted with
         # fetcher_stats in tests/test_corpus_align.py).
         aligned = cfg.align_corpus_ranges
-        if aligned:
+        shard_workers: list[list[int]] = []  # frontier shard -> workers
+
+        def align_workers() -> None:
             S, P = len(self.shards), len(pool)
-            shard_workers = [
+            shard_workers[:] = [
                 [w for w in range(P) if w % S == s]
                 if P >= S
                 else [s % P]
                 for s in range(S)
             ]
+
+        if aligned:
+            align_workers()
+            S = len(self.shards)
             if self.corpus_handle is not None:
                 # warm each worker's range slice NOW (fire-and-forget,
                 # drained with the other async RPCs): under alignment
@@ -1712,9 +1521,9 @@ class CrawlEngine:
                 for tidx in hit:
                     for desc in unacked.get(tidx, ()):
                         if tiers:
-                            lease, cyc, ck = desc
+                            lease, cyc = desc
                             replay.append(
-                                targets[tidx].lease.remote(lease, cyc, ck)
+                                targets[tidx].lease.remote(lease, cyc)
                             )
                         else:
                             tref, off, size, cyc, ck = desc
@@ -1732,13 +1541,63 @@ class CrawlEngine:
                 "fetch workers kept restarting during offer drain; "
                 "aborting — resume from the last checkpoint"
             )
-        work_q: deque = deque()  # (take_ref, offset, size)
+        work_q: deque = deque()  # (take_ref, offset, size, clock, shard)
         failed_tables: list[pa.Table] = []
         last_flushed_cycle = -1
         processed = 0
         docs = offered = admitted_known = unchanged = 0
 
         last_counts: list[dict[str, int]] | None = None
+
+        def resize_pool() -> None:
+            """Apply a live /fetcher/concurrency patch (recorded by
+            _on_fetcher_change). Runs inside the checkpoint, after
+            drain_workers(): nothing is in flight and every offer is
+            acked, so workers join or leave outside any replay window.
+            The tier rejects the patch (patch_config)."""
+            want, have = self._pool_target, len(pool)
+            if want == have:
+                return
+            if want > have:
+                new = [self._spawn_worker(wi) for wi in range(have, want)]
+                last_pids.extend(ray.get([w.pid.remote() for w in new]))
+                pool.extend(new)
+                outstanding.extend([0] * (want - have))
+            else:
+                # settle fire-and-forget RPCs before their actor dies
+                ray.get(self._route_refs)
+                self._route_refs.clear()
+                for w in pool[want:]:
+                    ray.kill(w, no_restart=True)
+                del pool[want:], last_pids[want:], outstanding[want:]
+            if aligned:
+                align_workers()
+            self._sync_pull_politeness()  # its cap scales with the pool
+
+        def totals() -> dict:
+            return {
+                "taken": processed, "docs": docs, "offered": offered,
+                "admitted": admitted_known, "failed": self._failed,
+                "unchanged": unchanged, "deadlettered": self._dead,
+            }
+
+        # counters at the last checkpoint: on_epoch hooks get deltas
+        mark = dict(totals(), deferred=0)
+
+        def report_checkpoint(label: int, lineage: list[dict]) -> None:
+            now = dict(
+                totals(),
+                deferred=sum(
+                    rec["metrics"].get("defer", 0) for rec in lineage
+                ),
+            )
+            stats = {k: v - mark[k] for k, v in now.items()}
+            stats["pending"] = sum(
+                sum(rec["counts"].values()) for rec in lineage
+            )
+            mark.update(now)
+            for cb in self._epoch_callbacks:
+                cb(self, label, stats)
 
         def handle_failures_now(stats: dict) -> None:
             if not failed_tables:
@@ -1766,6 +1625,9 @@ class CrawlEngine:
             4. bump the cycle label so every post-checkpoint batch
                writes doc dirs STRICTLY above the manifest.
 
+            A pending pool resize applies between steps 2 and 3, and
+            the on_epoch hooks run last.
+
             Cost: one pipeline drain per flush interval (16 cycles) —
             the bounded-depth pipeline (<= pool x DEPTH chunks) drains
             in one wave, unlike the per-cycle epoch barrier this
@@ -1784,9 +1646,11 @@ class CrawlEngine:
                     unacked.setdefault(tidx, []).append(desc)
                 absorb(ray.get(done))
             drain_workers()
+            resize_pool()
             refs = [s.flush_epoch.remote(cycle) for s in self.shards]
-            last_flushed_cycle = cycle
-            self._ingest_lineage(ray.get(refs), cycle)
+            last_flushed_cycle = label = cycle
+            lineage = ray.get(refs)
+            self._ingest_lineage(lineage, cycle)
             self._write_manifest(cycle, completed=False)
             cycle += 1
             # config heartbeat: a worker that RESTARTED since the last
@@ -1800,8 +1664,10 @@ class CrawlEngine:
                 )
                 for w in pool
             )
+            report_checkpoint(label, lineage)
 
         pending_take: list | None = None  # in-flight (meta_ref, table_ref)
+        take_clock = clock_us  # the clock pending_take was issued at
         starved = False  # last refill saw an empty frontier; wait for offers
 
         def start_refill() -> None:
@@ -1813,6 +1679,8 @@ class CrawlEngine:
             driver reads only the tiny meta objects and dispatches the
             table refs untouched."""
             nonlocal cycle, clock_us, pending_take, last_counts, starved
+            nonlocal take_clock
+            take_clock = clock_us
             if last_counts is None:
                 # async counts-only poll (empty quotas): a synchronous
                 # counts round per starvation stutter was measurable
@@ -1842,8 +1710,10 @@ class CrawlEngine:
 
         def finish_refill() -> int:
             """Resolve the in-flight take wave's META objects only and
-            enqueue (table_ref, offset, size) dispatch chunks — the row
-            data stays in plasma; the driver never touches it."""
+            enqueue (table_ref, offset, size, wave clock, shard)
+            dispatch chunks — the row data stays in plasma; the driver
+            never touches it. The wave's clock travels with each chunk:
+            the shard gate admitted its rows for that window."""
             nonlocal pending_take, last_counts, processed, starved
             refs = pending_take
             pending_take = None
@@ -1881,7 +1751,8 @@ class CrawlEngine:
                 took += n
                 for off in range(0, n, eff_chunk):
                     work_q.append(
-                        (table_ref, off, min(eff_chunk, n - off), sid)
+                        (table_ref, off, min(eff_chunk, n - off),
+                         take_clock, sid)
                     )
             processed += took
             if took == 0:
@@ -1900,11 +1771,11 @@ class CrawlEngine:
             )
             if self.compute_budget is not None:
                 # T6 under pull: charge per-host byte cost exactly as the
-                # epoch path does; newly-benched hosts push to the shards
-                # whose take()-side gate defers their rows until
+                # local epoch loop does; newly-benched hosts push to the
+                # shards whose take()-side gate defers their rows until
                 # bench_until (fire-and-forget — benching binds from the
-                # next take wave, the same next-window semantics epoch
-                # mode has).
+                # next take wave, the same next-window semantics the
+                # epoch loop has).
                 result, changed = self._charge_host_costs(result, clock_us)
                 if changed:
                     self._benched_hosts = {
@@ -1955,7 +1826,7 @@ class CrawlEngine:
                 and len(work_q) < 2 * len(pool)
             ):
                 # T11/X5: pull-CYCLE boundary — live-config patches land
-                # here, exactly as epoch mode applies them per epoch
+                # here, as the local epoch loop applies them per epoch
                 # (patch_config already validated them, so this cannot
                 # abort the crawl); a landed patch re-syncs the
                 # shard-side politeness gate so rate changes bind from
@@ -1999,7 +1870,7 @@ class CrawlEngine:
                     pick = None
                     for qi, item in enumerate(work_q):
                         w = min(
-                            shard_workers[item[3]],
+                            shard_workers[item[4]],
                             key=outstanding.__getitem__,
                         )
                         if outstanding[w] < depth_cap:
@@ -2008,13 +1879,13 @@ class CrawlEngine:
                     if pick is None:
                         break
                     qi, widx = pick
-                    take_ref, off, size, _sid = work_q[qi]
+                    take_ref, off, size, ck, _sid = work_q[qi]
                     del work_q[qi]
                     rows = size
                     ref = targets[widx].process_range.remote(
-                        take_ref, off, size, cycle, clock_us
+                        take_ref, off, size, cycle, ck
                     )
-                    desc = (take_ref, off, size, cycle, clock_us)
+                    desc = (take_ref, off, size, cycle, ck)
                     _tm["chunks"] += 1
                     inflight[ref] = (widx, rows, desc)
                     outstanding[widx] += 1
@@ -2027,23 +1898,21 @@ class CrawlEngine:
                     break
                 if tiers:
                     lease = [
-                        work_q.popleft()[:3]
+                        work_q.popleft()[:4]
                         for _ in range(min(len(work_q), lease_n))
                     ]
-                    rows = sum(s for _, _, s in lease)
-                    ref = targets[widx].lease.remote(
-                        lease, cycle, clock_us
-                    )
-                    desc = (lease, cycle, clock_us)
+                    rows = sum(c[2] for c in lease)
+                    ref = targets[widx].lease.remote(lease, cycle)
+                    desc = (lease, cycle)
                     _tm["chunks"] += len(lease)
                     _tm["leases"] += 1
                 else:
-                    take_ref, off, size, _sid = work_q.popleft()
+                    take_ref, off, size, ck, _sid = work_q.popleft()
                     rows = size
                     ref = targets[widx].process_range.remote(
-                        take_ref, off, size, cycle, clock_us
+                        take_ref, off, size, cycle, ck
                     )
-                    desc = (take_ref, off, size, cycle, clock_us)
+                    desc = (take_ref, off, size, cycle, ck)
                     _tm["chunks"] += 1
                 inflight[ref] = (widx, rows, desc)
                 outstanding[widx] += 1
@@ -2114,43 +1983,11 @@ class CrawlEngine:
             )
             self._dead_tables = []
         self._docs_written = docs
-        for name, value in (
-            ("fetch", processed),
-            ("done", docs),
-            ("offered", offered),
-            ("push", admitted_known),
-            ("abandon", self._failed),
-            ("deadletter", self._dead),
-            ("unchanged", unchanged),
-        ):
-            self._metrics_rows.append(
-                {"epoch": cycle, "name": name, "value": value}
-            )
-        # cumulative shard counters (incl. spill round-trips and the
-        # shard-side politeness gate's deferrals) as final metric rows —
-        # the shards' own ledger, not the driver's
-        for name in ("spilled", "unspilled", "bounce", "defer"):
-            total = sum(
-                m.get(name, 0)
-                for m in getattr(self, "_last_shard_metrics", [])
-            )
-            self._metrics_rows.append(
-                {"epoch": cycle, "name": name, "value": total}
-            )
-        self._flush_persec_rows()
-        self._trace(
-            "crawl_stop", cycles=cycle, docs=self._docs_written,
-            failed=self._failed, deadlettered=self._dead,
+        self._record_stats(cycle, totals())
+        # the shard-side politeness gate's deferrals are shard counters
+        result = self._finish(
+            cycle, ("spilled", "unspilled", "bounce", "defer"), cycles=cycle
         )
-        metrics = self._metrics_table()
-        self._write_tables(metrics)
-        seen_counts = self._call("seen_count")
-        digests = self._call("seen_digest")
-        import hashlib
-
-        overall = hashlib.sha1("".join(digests).encode()).hexdigest()
-        self._write_manifest(cycle, completed=True)
-        self._exec_active = None
         for d in tiers:  # per-run actors; workers/shards outlive them
             try:
                 ray.kill(d, no_restart=True)
@@ -2168,16 +2005,7 @@ class CrawlEngine:
                 + " ".join(f"{k}={v:.2f}" for k, v in _tm.items()),
                 flush=True,
             )
-        return CrawlResult(
-            state_dir=cfg.state_dir,
-            epochs=cycle,
-            docs_written=docs,
-            failed=self._failed,
-            deadlettered=self._dead,
-            seen_count=sum(seen_counts),
-            seen_digest=overall,
-            metrics=metrics,
-        )
+        return result
 
     def _ingest_lineage(self, lineage: list[dict], epoch: int) -> None:
         self._last_shard_metrics = [rec["metrics"] for rec in lineage]
@@ -2197,31 +2025,27 @@ class CrawlEngine:
     def _record_epoch(self, epoch: int, stats: dict) -> None:
         lineage = self._call("flush_epoch", epoch)
         self._cached_counts = [rec["counts"] for rec in lineage]
-        self._last_shard_metrics = [rec["metrics"] for rec in lineage]
-        for rec in lineage:
-            self._lineage_rows.append(
-                {
-                    "frontier_epoch": epoch,
-                    "shard_id": rec["shard_id"],
-                    "filter_snapshot_id": rec["filter_snapshot_id"],
-                    "admitted": rec["admitted"],
-                    "op_ts": 0,
-                }
-            )
-        name_map = {
-            "taken": "fetch",
-            "docs": "done",
-            "failed": "abandon",
-            "admitted": "push",
-            "deferred": "defer",
-            "offered": "offered",
-            "unchanged": "unchanged",
-            "deadlettered": "deadletter",
-        }
-        for key, metric in name_map.items():
-            self._metrics_rows.append(
-                {"epoch": epoch, "name": metric, "value": stats[key]}
-            )
+        self._ingest_lineage(lineage, epoch)
+        self._record_stats(epoch, stats)
+
+    def _record_stats(self, label: int, stats: dict) -> None:
+        """Counter rows under the reference's metric names; the pull
+        executor records its run totals once, without ``deferred``
+        (its deferrals are shard counters, see _finish)."""
+        for key, metric in (
+            ("taken", "fetch"),
+            ("docs", "done"),
+            ("failed", "abandon"),
+            ("admitted", "push"),
+            ("deferred", "defer"),
+            ("offered", "offered"),
+            ("unchanged", "unchanged"),
+            ("deadlettered", "deadletter"),
+        ):
+            if key in stats:
+                self._metrics_rows.append(
+                    {"epoch": label, "name": metric, "value": stats[key]}
+                )
 
     def _absorb_persec(self, summaries: pa.Table) -> None:
         """Per-second counter buckets (reference: redis-metrics with

@@ -1,7 +1,8 @@
 """Fetch + visit + sink + route: the crawl's one heavy distributed stage.
 
-Design (Ray-Data-first): one ``map_batches`` actor-pool stage does, per
-frontier batch —
+Design: one pool of persistent fetch-worker actors (``process_range``,
+driven by the pull executor; ``mode='local'`` calls the same kernel
+in-process) does, per frontier batch —
 
 1. **fetch**: look up each URL's body in the broadcast pages corpus
    (the sandbox's simulated network; a real deployment swaps
@@ -25,9 +26,9 @@ frontier batch —
    ``hash(url_hash) % S`` — candidates never pass through the driver.
 
 Only failures (404 → retry ledger) and 304s return to the driver, plus
-one summary row per batch carrying counters, so per-epoch driver
-traffic is O(failures), not O(pages). The raw ``html`` never leaves
-the stage at all.
+one summary row per batch carrying counters, so driver traffic is
+O(failures), not O(pages). The raw ``html`` never leaves the stage at
+all.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def etag_of(body: bytes) -> str:
 
 
 class CrawlWorkerStage:
-    """map_batches callable: frontier rows in → failed/unchanged/summary
+    """The fetch kernel: frontier rows in → failed/unchanged/summary
     rows out (see module docstring).
 
     ``corpus``/``index`` may be ObjectRefs (ray mode: resolved once per
@@ -218,8 +219,6 @@ class CrawlWorkerStage:
         epoch: int = 0,
         now_us: int = 0,
         attenuate: bool = True,
-        blocking_offers: bool = True,
-        flush_each_batch: bool = False,
         max_attempts: int = 0,
         retry_queue: str = "immediate",
         dead_dir: str | None = None,
@@ -302,11 +301,6 @@ class CrawlWorkerStage:
         self.epoch = epoch
         self.now_us = now_us
         self.attenuate = attenuate
-        self.blocking_offers = blocking_offers
-        # pull-mode executors flush offers at the end of every batch
-        # (fire-and-forget) so shards admit rows continuously and the
-        # driver's next take sees them without a drain barrier
-        self.flush_each_batch = flush_each_batch
         # inline retry ledger (max_attempts > 0): failures are requeued /
         # deadlettered INSIDE the stage — at 32 CPUs the driver-side
         # failure round trip (~300k returned rows over a crawl) was a
@@ -437,31 +431,24 @@ class CrawlWorkerStage:
         self.epoch = epoch
         self.now_us = now_us
 
-    def process(self, batch: pa.Table, epoch: int, now_us: int) -> pa.Table:
-        """Persistent-actor entry point: the epoch loop reuses one pool
-        of these actors across ALL epochs (ray.remote on this class),
-        because Ray Data's ActorPoolMapOperator tears its pool down at
-        the end of every Dataset execution and the crawl is iterative —
-        re-initializing corpus handles every epoch would dominate
-        wall-clock. Identical kernel to the map_batches path. Child
-        offers stay fire-and-forget and buffered across batches; the
-        at-least-once contract is closed by the ENGINE's checked drain
-        (drain_info pid comparison + side-effect replay of the ranges
-        returned since the last ack) — a per-batch synchronous ack here
-        was measured to serialize every range on shard RPC latency."""
-        self.set_epoch(epoch, now_us)
-        return self(batch)
-
     def process_range(
         self, table: pa.Table, off: int, size: int, epoch: int, now_us: int
     ) -> pa.Table:
-        """Like process(), but the epoch table is shipped ONCE via
-        ray.put and every dispatch passes (ref, offset, size) — the
-        driver-side per-chunk serialization of table slices was a
-        measured scaling bottleneck; plasma reads here are zero-copy.
-        Accepts either a bare table ref or a shard take_with_counts
-        response dict. Durability of this range's child offers is the
-        engine's checked drain (see process())."""
+        """The pull executor's entry point on a persistent worker
+        actor (the crawl is iterative, so one pool serves every take
+        wave). The wave's table lives in plasma and every dispatch
+        passes (ref, offset, size) — driver-side per-chunk
+        serialization of table slices was a measured scaling
+        bottleneck; plasma reads here are zero-copy. ``epoch`` labels
+        the doc dir (the checkpoint cycle); ``now_us`` is the clock of
+        the take wave that admitted the rows. Accepts either a bare
+        table ref or a shard take_with_counts response dict.
+
+        Child offers stay fire-and-forget and buffered across ranges;
+        their durability is the engine's checked drain (drain_info pid
+        comparison + side-effect replay of the ranges returned since
+        the last ack) — a per-range synchronous ack was measured to
+        serialize every range on shard RPC latency."""
         if isinstance(table, dict):
             table = table["table"]
         self.set_epoch(epoch, now_us)
@@ -504,29 +491,19 @@ class CrawlWorkerStage:
     OFFER_FLUSH_ROWS = 16_384
 
     def _offer(self, frontier_rows: pa.Table) -> int:
-        """Route candidates to their owning shards. In ray mode offers
-        are BUFFERED per shard across batches and flushed as large
-        tables (threshold or drain) — per-batch fire-and-forget RPCs
-        were measured to inflate in-worker CPU 30-60% via Ray
-        serialization/IPC contention at high worker counts. drain() is
-        the epoch barrier: it flushes buffers and waits for every
-        ObjectRef, so shards have processed all offers before the next
-        take."""
+        """Route candidates to their owning shards. Local shards admit
+        synchronously (returns the admitted count). Shard actors get
+        offers BUFFERED per shard across batches and flushed as larger
+        tables — at a row threshold, at the end of a batch with a
+        backlog (__call__), or at drain() — fire-and-forget; one RPC per
+        batch per shard was measured to inflate in-worker CPU 30-60%
+        via Ray serialization/IPC contention at high worker counts.
+        drain() is the ack point: it flushes the buffers and waits for
+        every ObjectRef, returning the admitted count."""
         if self._local:
             return sum(
                 self.shards[sid].offer(sub)
                 for sid, sub in self._shard_split(frontier_rows)
-            )
-        if self.blocking_offers:
-            import ray
-
-            return sum(
-                ray.get(
-                    [
-                        self.shards[sid].offer.remote(sub)
-                        for sid, sub in self._shard_split(frontier_rows)
-                    ]
-                )
             )
         for sid, sub in self._shard_split(frontier_rows):
             self._offer_buf.setdefault(sid, []).append(sub)
@@ -1106,14 +1083,14 @@ class CrawlWorkerStage:
                 ]
             )
         _t45 = _t.perf_counter()
-        if self.flush_each_batch and not self.blocking_offers:
-            # flush only shards with a meaningful backlog — flushing all
-            # shards every batch was measured at ~100 ms/batch of RPC
-            # serialization; small residues land at the next threshold
-            # crossing or at drain()
-            for sid, nbuf in list(self._buf_rows.items()):
-                if nbuf >= 2048:
-                    self._flush_shard(sid)
+        # flush shards with a meaningful backlog so they admit rows
+        # continuously and the driver's next take sees them without a
+        # barrier — flushing all shards every batch was measured at
+        # ~100 ms/batch of RPC serialization; small residues land at
+        # the next threshold crossing or at drain()
+        for sid, nbuf in list(self._buf_rows.items()):
+            if nbuf >= 2048:
+                self._flush_shard(sid)
         _t5 = _t.perf_counter()
         self.timings["fl"] = self.timings.get("fl", 0.0) + _t5 - _t45
         self.timings["lookup"] += _t1 - _t0

@@ -92,10 +92,10 @@ class FrontierShardState:
         self._spill_files: list[tuple[tuple, str, dict[str, int], int]] = []
         self._spilled_counts: dict[str, int] = {q: 0 for q in QUEUES}
         # -- shard-side politeness gate (pull executor) --------------------
-        # The epoch executor gates politeness on the driver AFTER take;
-        # the continuous pull executor instead gates INSIDE each shard's
-        # take (see configure_politeness), so no driver barrier is
-        # needed and the window semantics stay exact.
+        # The local epoch loop gates politeness on the driver AFTER
+        # take; the continuous pull executor instead gates INSIDE each
+        # shard's take (see configure_politeness), so no driver barrier
+        # is needed and the window semantics stay exact.
         self._pol: dict | None = None
         self._pol_window = -1
         self._pol_used: dict[str, int] = {}
@@ -405,7 +405,7 @@ class FrontierShardState:
         per-window per-host budgets (overrides: robots crawl-delay
         hosts); each shard takes its deterministic share (see _share),
         so the S shards admit AT MOST the global allowance per window —
-        the same window semantics the epoch executor enforces on the
+        the same window semantics the local epoch loop enforces on the
         driver, with no barrier. Frontier rows hash-shard by url_hash,
         so a host's rows spread ~uniformly over shards and each
         shard's share is actually consumable. ``allowance=None``

@@ -90,14 +90,14 @@ def test_align_config_validation(corpus, tmp_path):
         CrawlEngine(
             corpus,
             CrawlConfig(state_dir=str(tmp_path / "a"), mode="ray",
-                        ray_exec="pull", num_shards=3,
+                        num_shards=3,
                         align_corpus_ranges=True),
         )
     with pytest.raises(ValueError, match="dispatcher tier"):
         CrawlEngine(
             corpus,
             CrawlConfig(state_dir=str(tmp_path / "b"), mode="ray",
-                        ray_exec="pull", num_shards=4,
+                        num_shards=4,
                         node_dispatchers=2, align_corpus_ranges=True),
         )
     with pytest.raises(ValueError, match="pull-executor"):
@@ -118,7 +118,7 @@ def test_aligned_crawl_parity_and_hard_residency(
 
     seeds = default_seeds(2)
     base = dict(
-        mode="ray", ray_exec="pull", num_shards=4, fetch_concurrency=4,
+        mode="ray", num_shards=4, fetch_concurrency=4,
         fetch_batch_size=16, corpus_shards=4, corpus_max_resident=1,
     )
 

@@ -145,7 +145,7 @@ def test_crawl_parity_and_resume_with_sharded_corpus(
     ).run(seeds=seeds)
 
     cfg = CrawlConfig(
-        state_dir=str(tmp_path / "ray"), mode="ray", ray_exec="pull",
+        state_dir=str(tmp_path / "ray"), mode="ray",
         num_shards=3, fetch_concurrency=2, fetch_batch_size=16,
         corpus_shards=4, corpus_max_resident=2,
     )

@@ -176,7 +176,7 @@ def test_pull_compute_budget_same_result(corpus, oracle, tmp_path, ray_session):
     the shards, whose take()-side gate defers them until bench_until.
     The crawl still converges to the exact BFS oracle."""
     cfg = CrawlConfig(
-        state_dir=str(tmp_path / "state"), mode="ray", ray_exec="pull",
+        state_dir=str(tmp_path / "state"), mode="ray",
         num_shards=3, fetch_concurrency=2, fetch_batch_size=16,
         compute_limit_ms=2.0, compute_window_sec=40.0,
         compute_bytes_per_ms=1000.0,
@@ -248,7 +248,7 @@ def test_real_latency_fetcher_feeds_compute_budget(
         else:
             cfg = CrawlConfig(
                 state_dir=str(tmp_path / tag), mode="ray",
-                ray_exec="pull", num_shards=3, fetch_concurrency=2,
+                num_shards=3, fetch_concurrency=2,
                 fetch_batch_size=16, fetcher_cls=fetcher_cls, **knobs,
             )
         return CrawlEngine(corpus, cfg).run(seeds=default_seeds(2))
@@ -314,7 +314,6 @@ def test_pull_executor_matches_oracle(corpus, oracle, tmp_path, ray_session):
     cfg = CrawlConfig(
         state_dir=str(tmp_path / "state"),
         mode="ray",
-        ray_exec="pull",
         num_shards=3,
         fetch_concurrency=2,
         fetch_batch_size=16,
@@ -364,7 +363,6 @@ def test_per_second_metric_buckets_pull(corpus, tmp_path, ray_session):
     cfg = CrawlConfig(
         state_dir=str(tmp_path / "state"),
         mode="ray",
-        ray_exec="pull",
         num_shards=3,
         fetch_concurrency=2,
         fetch_batch_size=16,
@@ -381,7 +379,6 @@ def test_pull_resume_reproduces_seen_set(corpus, oracle, tmp_path, ray_session):
     full_cfg = CrawlConfig(
         state_dir=str(tmp_path / "full"),
         mode="ray",
-        ray_exec="pull",
         num_shards=3,
         fetch_concurrency=2,
         fetch_batch_size=16,
@@ -390,7 +387,6 @@ def test_pull_resume_reproduces_seen_set(corpus, oracle, tmp_path, ray_session):
     cfg = CrawlConfig(
         state_dir=str(tmp_path / "partial"),
         mode="ray",
-        ray_exec="pull",
         num_shards=3,
         fetch_concurrency=2,
         fetch_batch_size=16,
@@ -419,7 +415,6 @@ def test_pull_dispatch_tier_matches_oracle_and_resumes(
         return CrawlConfig(
             state_dir=str(tmp_path / tag),
             mode="ray",
-            ray_exec="pull",
             num_shards=3,
             fetch_concurrency=4,
             fetch_batch_size=16,
@@ -592,7 +587,6 @@ def test_config_heartbeat_restores_live_deltas_after_restart(
     cfg = CrawlConfig(
         state_dir=str(tmp_path / "state"),
         mode="ray",
-        ray_exec="pull",
         num_shards=3,
         fetch_concurrency=2,
         fetch_batch_size=256,
@@ -637,7 +631,6 @@ def test_dispatcher_death_recovers_via_resume(tmp_path, ray_session):
     cfg = CrawlConfig(
         state_dir=str(state),
         mode="ray",
-        ray_exec="pull",
         num_shards=3,
         fetch_concurrency=4,
         fetch_batch_size=256,
@@ -689,7 +682,6 @@ def test_shard_death_recovers_via_resume(tmp_path, ray_session):
     cfg = CrawlConfig(
         state_dir=str(state),
         mode="ray",
-        ray_exec="pull",
         num_shards=3,
         fetch_concurrency=2,
         fetch_batch_size=256,
@@ -734,7 +726,6 @@ def test_pull_crash_window_resume(corpus, oracle, tmp_path, ray_session):
     cfg = CrawlConfig(
         state_dir=str(state),
         mode="ray",
-        ray_exec="pull",
         num_shards=3,
         fetch_concurrency=2,
         fetch_batch_size=16,
@@ -846,13 +837,9 @@ def test_event_doc_crash_resume_recovers_payload_children(tmp_path):
     assert set(urls) == reachable | {evt_url, iso_url}
 
 
-@pytest.mark.parametrize(
-    "ray_exec,tiers",
-    [("pull", 0), ("actors", 0), ("pull", 2)],
-    ids=["pull", "actors", "pull-tier"],
-)
+@pytest.mark.parametrize("tiers", [0, 2], ids=["pull", "pull-tier"])
 def test_worker_death_replays_inflight_ranges(
-    corpus, oracle, tmp_path, ray_session, ray_exec, tiers
+    corpus, oracle, tmp_path, ray_session, tiers
 ):
     """W3 fault tolerance: a fetch worker that dies mid-crawl (OOM/node
     loss stand-in: os._exit inside the fetcher) restarts via
@@ -896,9 +883,8 @@ def test_worker_death_replays_inflight_ranges(
     # can finish before ANY worker reaches the kamikaze's 3rd batch and
     # the mid-crawl death never happens (observed flaky at 4 workers)
     cfg = CrawlConfig(
-        state_dir=str(tmp_path / f"state-{ray_exec}-{tiers}"),
+        state_dir=str(tmp_path / f"state-{tiers}"),
         mode="ray",
-        ray_exec=ray_exec,
         num_shards=3,
         fetch_concurrency=2,
         fetch_batch_size=16,
@@ -965,9 +951,6 @@ def test_offer_checked_drain_contract(corpus, tmp_path, ray_session):
             build_fetch_index(corpus),
             shards,
             docs_dir=str(tmp_path / "docs"),
-            # the pull executor's flags — fire-and-forget buffered offers
-            blocking_offers=False,
-            flush_each_batch=True,
         )
         now = int(time.time() * 1e6)
         frontier = build_frontier_rows(default_seeds(2), base_ts=now)
@@ -1007,12 +990,9 @@ def test_offer_checked_drain_contract(corpus, tmp_path, ray_session):
             ray.kill(s)
 
 
-@pytest.mark.parametrize(
-    "exec_tiers", [("pull", 0), ("pull", 1), ("actors", 0)],
-    ids=["pull", "pull-tier", "actors"],
-)
+@pytest.mark.parametrize("tiers", [0, 1], ids=["pull", "pull-tier"])
 def test_worker_death_replays_unacked_offer_window(
-    tmp_path, ray_session, exec_tiers
+    tmp_path, ray_session, tiers
 ):
     """The loss path the checked drain exists for, DETERMINISTICALLY
     (the tier kill-loop only reproduced it probabilistically via graph
@@ -1034,7 +1014,6 @@ def test_worker_death_replays_unacked_offer_window(
 
     from raycrawl.stages.fetch import TableFetcher
 
-    ray_exec, tiers = exec_tiers
     FAN = 400
     base = "http://star.example.com"
     urls, htmls = [f"{base}/seed"], []
@@ -1063,7 +1042,7 @@ def test_worker_death_replays_unacked_offer_window(
             "lang": pa.array(["en"] * n, pa.string()),
         }
     )
-    marker = str(tmp_path / f"unacked-killed-{ray_exec}-{tiers}.marker")
+    marker = str(tmp_path / f"unacked-killed-{tiers}.marker")
 
     class KamikazeFetcher(TableFetcher):
         """Dies once process-wide, on its 3rd range: range 1 is the
@@ -1087,9 +1066,8 @@ def test_worker_death_replays_unacked_offer_window(
             return super().lookup(digests)
 
     cfg = CrawlConfig(
-        state_dir=str(tmp_path / f"state-unacked-{ray_exec}-{tiers}"),
+        state_dir=str(tmp_path / f"state-unacked-{tiers}"),
         mode="ray",
-        ray_exec=ray_exec,
         num_shards=3,
         fetch_concurrency=1,
         fetch_batch_size=256,
@@ -1112,7 +1090,6 @@ def test_pull_politeness_with_spill_same_result(corpus, oracle, tmp_path, ray_se
     cfg = CrawlConfig(
         state_dir=str(tmp_path / "state"),
         mode="ray",
-        ray_exec="pull",
         num_shards=3,
         host_rate_per_sec=5,
         fetch_concurrency=2,
@@ -1137,7 +1114,6 @@ def test_pull_binding_politeness_same_result(corpus, oracle, tmp_path, ray_sessi
     cfg = CrawlConfig(
         state_dir=str(tmp_path / "state"),
         mode="ray",
-        ray_exec="pull",
         num_shards=3,
         host_rate_per_sec=5,   # binding budget
         fetch_concurrency=2,
@@ -1170,9 +1146,7 @@ def test_frontier_spill_ray_same_result(corpus, oracle, tmp_path, ray_session):
     cfg = CrawlConfig(
         state_dir=str(tmp_path / "state"),
         mode="ray",
-        ray_exec="actors",
         num_shards=3,
-        epoch_budget=50,
         fetch_concurrency=2,
         pending_cap=8,
     )
@@ -1186,7 +1160,7 @@ def test_frontier_spill_ray_same_result(corpus, oracle, tmp_path, ray_session):
     "engine_mode",
     [
         {"mode": "local"},
-        {"mode": "ray", "ray_exec": "pull", "fetch_concurrency": 2,
+        {"mode": "ray", "fetch_concurrency": 2,
          "fetch_batch_size": 16},
     ],
     ids=["local-epoch", "ray-pull"],
@@ -1199,7 +1173,10 @@ def test_robots_ingestion_disallow_and_crawl_delay(
     pages behind them become unreachable unless reachable otherwise);
     Crawl-delay throttles the host's allowance (deferrals happen).
     Parametrized over both executors: the pull executor's shard-side
-    gate must honor the same crawl-delay override allowances."""
+    gate must honor the same crawl-delay override allowances, and no
+    host's documents in any one ``processed_at`` window may exceed its
+    allowance (documents carry the clock of the window that admitted
+    them)."""
     from raycrawl.corpus import make_pages_corpus
     from raycrawl.functions.urlnorm import rfc3986_normalize
 
@@ -1272,13 +1249,29 @@ def test_robots_ingestion_disallow_and_crawl_delay(
         m["value"] for m in result.metrics.to_pylist() if m["name"] == "defer"
     )
     assert defer > 0
+    # per-window politeness: documents per (host, processed_at window)
+    docs = result.documents_table()
+    epoch_us = int(cfg.epoch_seconds * 1e6)
+    per_window: dict = {}
+    for url, ts in zip(
+        docs.column("url").to_pylist(),
+        docs.column("processed_at").to_pylist(),
+    ):
+        key = (url.split("://")[1].split("/")[0], ts // epoch_us)
+        per_window[key] = per_window.get(key, 0) + 1
+    over = {
+        key: n
+        for key, n in per_window.items()
+        if n > engine.politeness.allowance(key[0])
+    }
+    assert not over, over
 
 
 @pytest.mark.parametrize(
     "engine_mode",
     [
         {"mode": "local"},
-        {"mode": "ray", "ray_exec": "pull", "fetch_concurrency": 2,
+        {"mode": "ray", "fetch_concurrency": 2,
          "fetch_batch_size": 16},
     ],
     ids=["local-epoch", "ray-pull"],

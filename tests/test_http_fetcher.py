@@ -45,7 +45,7 @@ def test_golden_traversal_over_http(
         )
     else:
         cfg = CrawlConfig(
-            state_dir=str(tmp_path / mode), mode="ray", ray_exec="pull",
+            state_dir=str(tmp_path / mode), mode="ray",
             fetch_concurrency=2, fetch_batch_size=16, **common,
         )
     result = CrawlEngine(corpus, cfg).run(seeds=default_seeds(2))
@@ -81,7 +81,7 @@ def test_compute_budget_fed_by_real_wire_latency(
         else:
             cfg = CrawlConfig(
                 state_dir=str(tmp_path / tag), mode="ray",
-                ray_exec="pull", num_shards=3, fetch_concurrency=2,
+                num_shards=3, fetch_concurrency=2,
                 fetch_batch_size=16, fetcher_cls=fetcher_cls, **knobs,
             )
         return CrawlEngine(corpus, cfg).run(seeds=default_seeds(2))

@@ -34,7 +34,6 @@ corpus = make_pages_corpus(num_hosts=8, pages_per_host=60, seed=21)
 cfg = CrawlConfig(
     state_dir=tempfile.mkdtemp(prefix="mnode_", dir="/tmp"),
     mode="ray",
-    ray_exec="pull",
     num_shards=4,
     fetch_concurrency=6,       # 6 one-CPU workers cannot fit on one
     fetch_batch_size=64,       # 5-CPU node -> forced cross-node spread

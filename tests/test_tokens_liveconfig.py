@@ -217,30 +217,44 @@ def test_live_patch_dict_form_and_unknown_subsystem(corpus, tmp_path):
     ]
     assert len(patches) == 2
     assert all('"crawler"' in r["detail"] for r in patches)
+    # the dispatcher tier fixes its worker groups for a run: a pool
+    # resize is rejected at the route instead of silently ignored
+    tiered = CrawlEngine(
+        corpus,
+        CrawlConfig(state_dir=str(tmp_path / "tier"), mode="local",
+                    num_shards=2, node_dispatchers=1),
+    )
+    with pytest.raises(ValueError, match="dispatcher tier"):
+        tiered.patch_config({"fetcher": {"concurrency": 3}})
 
 
 def test_live_patch_pool_resize(corpus, oracle, tmp_path, ray_session):
     """Credit-resize analogue (amqp10Queue.js:303-310): patching
-    /fetcher/concurrency grows the actor pool at the epoch boundary."""
+    /fetcher/concurrency grows the pull executor's actor pool at the
+    next checkpoint, where nothing is in flight and every offer is
+    acked; the crawl still converges to the exact oracle result. A
+    binding rate (1 row per host per window) stretches the crawl over
+    several checkpoints, so the grown pool does real work."""
     cfg = CrawlConfig(
         state_dir=str(tmp_path / "state"),
         mode="ray",
-        ray_exec="actors",
         num_shards=2,
         fetch_concurrency=2,
-        epoch_budget=40,
+        host_rate_per_sec=1,
     )
     engine = CrawlEngine(corpus, cfg)
     sizes: list[int] = []
 
     def watch(eng, epoch, stats):
         sizes.append(len(eng.workers))
-        if epoch == 1:
+        assert set(stats) >= {"pending", "taken", "docs", "deferred"}
+        if len(sizes) == 1:
             eng.patch_config({"fetcher": {"concurrency": 3}})
 
     engine.on_epoch(watch)
     result = engine.run(seeds=default_seeds(2))
     _check_against_oracle(corpus, result, oracle)
+    assert len(sizes) >= 3, sizes  # checkpoints before and after
     assert sizes[0] == 2 and sizes[-1] == 3
     engine.close()
 
@@ -252,7 +266,6 @@ def test_live_patch_lands_in_pull_mode(corpus, oracle, tmp_path, ray_session):
     cfg = CrawlConfig(
         state_dir=str(tmp_path / "state"),
         mode="ray",
-        ray_exec="pull",
         num_shards=2,
         fetch_concurrency=2,
     )

@@ -65,7 +65,6 @@ def measure(workers: int, corpus, num_shards: int, reserve: int) -> dict:
     cfg = CrawlConfig(
         state_dir=state,
         mode="ray",
-        ray_exec="pull",
         num_shards=num_shards,
         epoch_budget=max(100_000, corpus.num_rows),
         fetch_concurrency=workers,
