@@ -176,7 +176,6 @@ def run_bench() -> dict:
         kw = dict(
             mode="ray",
             num_shards=num_shards,
-            epoch_budget=max(100_000, c.num_rows),
             fetch_concurrency=workers,
             fetch_batch_size=4096,
             reserve_cores=reserve,
@@ -784,7 +783,6 @@ def run_bigcorpus() -> dict:
         state_dir=state,
         mode="ray",
         num_shards=num_shards,
-        epoch_budget=max(100_000, n_pages),
         fetch_concurrency=workers,
         fetch_batch_size=4096,
         reserve_cores=reserve,

@@ -120,7 +120,6 @@ def _build_config(args, n_cpus: int):
         state_dir=args.state_dir,
         mode="ray",
         num_shards=shards,
-        epoch_budget=args.epoch_budget,
         fetch_concurrency=workers,
         fetch_batch_size=args.batch_size,
         reserve_cores=reserve,
@@ -224,7 +223,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reserve-cores", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=4096)
     p.add_argument("--node-dispatchers", type=int, default=0)
-    p.add_argument("--epoch-budget", type=int, default=1_000_000)
     p.add_argument(
         "--seen-filter", choices=["bloom", "exact"], default="bloom"
     )

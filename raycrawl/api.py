@@ -128,8 +128,8 @@ def status(engine: CrawlEngine) -> dict:
     return {
         "queues": queue_depths.__wrapped__(engine),
         "seen": sum(engine._call("seen_count")),
-        "docs_written": engine._docs_written,
-        "deadlettered": engine._dead,
+        "docs_written": engine._totals["docs"],
+        "deadlettered": engine._totals["deadlettered"],
         "mode": engine.cfg.mode,
         "num_shards": engine.cfg.num_shards,
     }

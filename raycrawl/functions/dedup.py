@@ -187,14 +187,6 @@ class MinHasher:
             prod = x[None, :] * (self.a[:, None] | np.uint64(1)) + self.b[:, None]
         return prod.min(axis=1)
 
-    def band_keys(self, sig: np.ndarray, num_bands: int = 16) -> list[bytes]:
-        """LSH: split the signature into bands; equal band bytes =>
-        candidate pair."""
-        rows = self.num_perms // num_bands
-        return [
-            sig[i * rows : (i + 1) * rows].tobytes() for i in range(num_bands)
-        ]
-
 
 def est_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
     return float((sig_a == sig_b).mean())
@@ -253,7 +245,3 @@ def simhash64(text: str, cache: dict | None = None) -> int:
         )
     )
     return out & 0x7FFF_FFFF_FFFF_FFFF  # keep in int64 range
-
-
-def hamming64(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")

@@ -38,10 +38,6 @@ _STOPWORDS = {
 }
 
 
-def token_count(text: str) -> int:
-    return len(TOKEN_REGEX.findall(text))
-
-
 def token_counts_batch(texts) -> np.ndarray:
     findall = TOKEN_REGEX.findall
     return np.fromiter((len(findall(t)) for t in texts), dtype=np.int64,

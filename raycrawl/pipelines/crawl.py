@@ -25,13 +25,13 @@ the golden-parity tests:
       politeness: per-host allowance (rate × epoch window); overflow rows
             deferred with not_before = now + deferDelay
             (reference lib/crawlerFactory.js:74)
-      fetch+visit+sink+route: the CrawlWorkerStage kernel
+      fetch+visit+sink+route+retry: the CrawlWorkerStage kernel
             (stages/fetch.py) — documents to Parquet, candidate links
-            offered to the owning shard, only failures return
-      retry ledger: failed rows re-queued to the 'immediate' queue with
-            attempt_count+1 (reference _retryQueue,
-            lib/crawlerFactory.js:678); attempts ≥ max → deadletter
-            (reference routes/deadletters.js)
+            offered to the owning shard, failed rows re-queued to the
+            'immediate' queue with attempt_count+1 (reference
+            _retryQueue, lib/crawlerFactory.js:678) until max_attempts,
+            then deadlettered (reference routes/deadletters.js); only a
+            BatchStats record per batch returns
       lineage: every shard flushes its admitted rows per epoch
             (delta-store analogue, providers/storage/deltaStore.js)
 
@@ -64,14 +64,24 @@ from ..schemas import (
     QUEUES,
 )
 from ..stages.fetch import (
-    HOSTCOST_TYPE,
-    SUMMARY_TYPE,
+    BatchStats,
     CrawlWorkerStage,
     build_fetch_index,
     prepare_corpus,
 )
 from ..state.frontier import FrontierShardState, create_shards
 from ..state.politeness import PolitenessPolicy
+
+
+# BatchStats counter -> metric name of its per-second series
+_PERSEC_METRICS = (
+    ("fetched", "fetch"),
+    ("docs", "done"),
+    ("offered", "offered"),
+    ("admitted", "push"),
+    ("failed", "abandon"),
+    ("deadlettered", "deadletter"),
+)
 
 
 @dataclass
@@ -98,6 +108,10 @@ class CrawlConfig:
     # the pull executor sizes each take wave by its pool's free depth.
     mode: str = "ray"                # 'ray' | 'local'
     fetch_concurrency: int = 8
+    # rows per worker call. The pull executor slices each take wave
+    # into chunks of max(192, min(fetch_batch_size, wave / free
+    # workers)) rows, so under 'ray' a chunk never holds fewer than
+    # 192 rows (unless the wave itself is smaller), whatever this says.
     fetch_batch_size: int = 2048
     # pull-executor dispatch tier (BASELINE.md "dispatch ceiling" scale
     # path #2): 0 = the driver dispatches every chunk itself (measured
@@ -281,10 +295,10 @@ class NodeDispatcher:
     list of (table_ref, offset, size, clock_us) chunks, each stamped
     with the clock of the take wave that admitted it — per RPC; this
     actor fans the chunks out to its node-local worker group and
-    returns ONE merged result table, so the driver pays O(leases)
-    instead of O(chunks). At the measured ~4 ms driver CPU per RPC and
-    8-16 workers per group, the single-driver ceiling moves from ~74
-    workers to the thousands.
+    returns their BatchStats records in one list, so the driver pays
+    O(leases) instead of O(chunks). At the measured ~4 ms driver CPU
+    per RPC and 8-16 workers per group, the single-driver ceiling
+    moves from ~74 workers to the thousands.
 
     Concurrency model: created with max_concurrency > 1 so consecutive
     leases OVERLAP — each lease() call immediately queues its chunks
@@ -323,7 +337,7 @@ class NodeDispatcher:
     def ping(self) -> bool:
         return True
 
-    def lease(self, chunks: list, cycle: int) -> pa.Table:
+    def lease(self, chunks: list, cycle: int) -> list[BatchStats]:
         import ray
 
         remaining: dict = {}
@@ -337,7 +351,7 @@ class NodeDispatcher:
                 tref, off, size, cycle, clock_us
             )
             remaining[ref] = w
-        tables = []
+        results = []
         while remaining:
             done, _ = ray.wait(
                 list(remaining), num_returns=1, fetch_local=True
@@ -352,8 +366,8 @@ class NodeDispatcher:
             with self._lock:
                 for r in done:
                     self._out[remaining.pop(r)] -= 1
-            tables.extend(ray.get(done))
-        return pa.concat_tables(tables)
+            results.extend(ray.get(done))
+        return results
 
 
 class CrawlEngine:
@@ -480,8 +494,7 @@ class CrawlEngine:
         self._pending_patches: list[dict] = []
         self._epoch_callbacks: list = []
         self._cached_counts = None  # per-epoch counts piggybacked on flush
-        self._route_refs: list = []     # pull mode: in-flight requeue RPCs
-        self._dead_tables: list[pa.Table] = []  # pull mode: deadletter buffer
+        self._route_refs: list = []     # pull mode: in-flight shard RPCs
         self._metrics_rows: list[dict] = []
         # lifecycle event log: append to any prior engine's trace on
         # this state_dir (resume/recrawl post-mortems see the events of
@@ -490,12 +503,15 @@ class CrawlEngine:
         trace_path = os.path.join(cfg.state_dir, "trace.parquet")
         if os.path.exists(trace_path):
             self._trace_rows = pq.read_table(trace_path).to_pylist()
-        # (name, wall second) -> count; see _absorb_persec
+        # (name, wall second) -> count; see _absorb
         self._persec: dict[tuple[str, int], int] = {}
         self._lineage_rows: list[dict] = []
-        self._docs_written = 0
-        self._failed = 0
-        self._dead = 0
+        # run totals of the workers' BatchStats counters
+        self._totals = dict.fromkeys(
+            ("docs", "offered", "admitted", "failed", "deadlettered",
+             "unchanged"),
+            0,
+        )
 
         if cfg.mode == "ray":
             import ray
@@ -569,6 +585,7 @@ class CrawlEngine:
                 scope_hosts=cfg.scope_hosts,
                 robots_rules=self.robots_rules,
                 track_host_cost=cfg.compute_limit_ms > 0,
+                compute_bytes_per_ms=cfg.compute_bytes_per_ms,
                 range_route=cfg.align_corpus_ranges,
                 token_specs=cfg.token_specs,
                 token_call_cap=cfg.token_call_cap,
@@ -661,6 +678,7 @@ class CrawlEngine:
             scope_hosts=cfg.scope_hosts,
             robots_rules=self.robots_rules,
             track_host_cost=cfg.compute_limit_ms > 0,
+            compute_bytes_per_ms=cfg.compute_bytes_per_ms,
             range_route=cfg.align_corpus_ranges,
             pin_cpu=pin,
             token_specs=cfg.token_specs,
@@ -723,7 +741,10 @@ class CrawlEngine:
         which runs mid-crawl — is infallible and a bad request can
         never abort a running crawl or drop sibling patches. A pool
         resize under the dispatcher tier (node_dispatchers > 0) is
-        rejected: the tier's worker groups are fixed for a run."""
+        rejected: the tier's worker groups are fixed for a run. So is
+        ``/crawler/epoch_budget`` under ``mode='ray'``, where the pull
+        executor sizes its take waves by pool depth and never reads
+        it."""
         if isinstance(patches, dict):
             patches = [
                 {"op": "replace", "path": f"/{sub}/{key}", "value": v}
@@ -759,6 +780,13 @@ class CrawlEngine:
                     raise ValueError(
                         "cannot resize the fetch pool under the "
                         "dispatcher tier (node_dispatchers > 0)"
+                    )
+                if (sub, key) == ("crawler", "epoch_budget") and (
+                    self.cfg.mode == "ray"
+                ):
+                    raise ValueError(
+                        "epoch_budget binds only in mode='local'; the "
+                        "pull executor never reads it"
                     )
         self._pending_patches.extend(patches)
 
@@ -1016,48 +1044,15 @@ class CrawlEngine:
 
     # -- epoch body --------------------------------------------------------
 
-    def _process(self, epoch_table: pa.Table, epoch: int, now_us: int) -> pa.Table:
+    def _process(
+        self, epoch_table: pa.Table, epoch: int, now_us: int
+    ) -> list[BatchStats]:
         chunk = self.cfg.fetch_batch_size
         self._local_worker.set_epoch(epoch, now_us)
-        return pa.concat_tables(
+        return [
             self._local_worker(epoch_table.slice(off, chunk))
             for off in range(0, epoch_table.num_rows, chunk)
-        )
-
-    def _charge_host_costs(
-        self, result: pa.Table, now_us: int
-    ) -> tuple[pa.Table, bool]:
-        """Split HOSTCOST rows out of a worker result table and charge
-        them to the compute budget (T6) — the ONE decode of the cost-row
-        unit flag, shared by both executors so they can never charge
-        different budgets for the same crawl: unit 1 = fetcher-measured
-        microseconds (A7 real-latency contract), 0 = body bytes via the
-        proxy rate. Returns (result minus cost rows, whether any host's
-        bench_until changed)."""
-        hostcost = result.filter(
-            pc.equal(result.column("type"), HOSTCOST_TYPE)
-        )
-        if not hostcost.num_rows:
-            return result, False
-        result = result.filter(
-            pc.not_equal(result.column("type"), HOSTCOST_TYPE)
-        )
-        changed = False
-        for h, v, unit in zip(
-            hostcost.column("url_host").to_pylist(),
-            hostcost.column("discovery_ts").to_pylist(),
-            hostcost.column("attempt_count").to_pylist(),
-        ):
-            ms = (
-                v / 1000.0
-                if unit == 1
-                else v / self.cfg.compute_bytes_per_ms
-            )
-            until = self.compute_budget.consume(h, ms, now_us)
-            if until is not None and self._benched_hosts.get(h) != until:
-                self._benched_hosts[h] = until
-                changed = True
-        return result, changed
+        ]
 
     def _epoch(self, epoch: int, now_us: int) -> dict:
         counts = self._cached_counts
@@ -1157,98 +1152,9 @@ class CrawlEngine:
             stats["deferred"] = deferred.num_rows
             epoch_table = epoch_table.filter(pa.array(admit))
 
-        result = self._process(epoch_table, epoch, now_us)
-
-        if self.compute_budget is not None:
-            result, _ = self._charge_host_costs(result, now_us)
-
-        summaries = result.filter(pc.equal(result.column("type"), SUMMARY_TYPE))
-        self._absorb_persec(summaries)
-        stats["docs"] = int(pc.sum(summaries.column("depth")).as_py() or 0)
-        stats["offered"] = int(pc.sum(summaries.column("discovery_ts")).as_py() or 0)
-        stats["admitted"] = int(pc.sum(summaries.column("attempt_count")).as_py() or 0)
-
-        rest = result.filter(pc.not_equal(result.column("type"), SUMMARY_TYPE))
-        if self.cfg.max_attempts > 0:
-            # the retry ledger ran inside the stage (W3/S13): summaries
-            # carry failed (status) and deadlettered (not_before) counts;
-            # `rest` holds only 304-unchanged rows
-            stats["failed"] = int(
-                pc.sum(summaries.column("status")).as_py() or 0
-            )
-            stats["deadlettered"] = int(
-                pc.sum(summaries.column("not_before")).as_py() or 0
-            )
-            self._failed += stats["failed"]
-            self._dead += stats["deadlettered"]
-            stats["unchanged"] = rest.num_rows
-        else:
-            failed = rest.filter(pc.equal(rest.column("status"), 404))
-            stats["unchanged"] = rest.num_rows - failed.num_rows
-            if failed.num_rows:
-                stats["failed"] = failed.num_rows
-                self._handle_failures(failed, epoch, now_us, stats)
-
-        self._docs_written += stats["docs"]
+        batches = self._process(epoch_table, epoch, now_us)
+        stats.update(self._absorb(batches, now_us)[0])
         return stats
-
-    def _handle_failures(
-        self,
-        failed: pa.Table,
-        epoch: int,
-        now_us: int,
-        stats: dict,
-        *,
-        sync: bool = True,
-    ) -> None:
-        """Retry ledger: attempt_count+1 to the retry queue until
-        max_attempts, then deadletter (reference W3/S13). With
-        sync=False (pull executor) the requeue RPCs are fire-and-forget
-        (refs collected in _route_refs, resolved at the next stall) and
-        deadletter rows are buffered for a single end-of-run write —
-        the per-cycle blocking route + parquet write was a measured
-        driver bottleneck."""
-        self._failed += failed.num_rows
-        attempts = pc.add(failed.column("attempt_count"), 1)
-        failed = failed.set_column(
-            FRONTIER_SCHEMA.names.index("attempt_count"),
-            "attempt_count",
-            attempts.cast(pa.int32()),
-        )
-        retriable_mask = pc.less(attempts, self.cfg.max_attempts)
-        retriable = failed.filter(retriable_mask)
-        exhausted = failed.filter(pc.invert(retriable_mask))
-        if retriable.num_rows:
-            names = FRONTIER_SCHEMA.names
-            retriable = retriable.set_column(
-                names.index("queue"),
-                "queue",
-                pa.array([self.cfg.retry_queue] * retriable.num_rows, pa.string()),
-            ).select(names)
-            if sync:
-                self._route(retriable, "requeue")
-            else:
-                splitter = CrawlWorkerStage._shard_split
-                holder = _route_holder(self.cfg)
-                for sid, sub in splitter(holder, retriable):
-                    self._route_refs.append(
-                        self.shards[sid].requeue.remote(sub)
-                    )
-        if exhausted.num_rows:
-            dead = exhausted.select(
-                FRONTIER_SCHEMA.names + ["error"]
-            ).append_column(
-                "failed_at", pa.array([now_us] * exhausted.num_rows, pa.int64())
-            ).cast(DEADLETTER_SCHEMA)
-            if sync:
-                path = os.path.join(
-                    self.dead_dir, f"epoch={epoch}-{self._dead}.parquet"
-                )
-                pq.write_table(dead, path)
-            else:
-                self._dead_tables.append(dead)
-            self._dead += exhausted.num_rows
-            stats["deadlettered"] = exhausted.num_rows
 
     # -- run loop ----------------------------------------------------------
 
@@ -1325,9 +1231,10 @@ class CrawlEngine:
                 {"epoch": label, "name": name, "value": total}
             )
         self._flush_persec_rows()
+        tot = self._totals
         self._trace(
-            "crawl_stop", docs=self._docs_written, failed=self._failed,
-            deadlettered=self._dead, **stop,
+            "crawl_stop", docs=tot["docs"], failed=tot["failed"],
+            deadlettered=tot["deadlettered"], **stop,
         )
         metrics = self._metrics_table()
         self._write_tables(metrics)
@@ -1337,9 +1244,9 @@ class CrawlEngine:
         return CrawlResult(
             state_dir=self.cfg.state_dir,
             epochs=label,
-            docs_written=self._docs_written,
-            failed=self._failed,
-            deadlettered=self._dead,
+            docs_written=tot["docs"],
+            failed=tot["failed"],
+            deadlettered=tot["deadlettered"],
             seen_count=sum(seen_counts),
             seen_digest=hashlib.sha1("".join(digests).encode()).hexdigest(),
             metrics=metrics,
@@ -1375,14 +1282,13 @@ class CrawlEngine:
         its documents stamped — at the clock of the wave that admitted
         it, so no host exceeds its allowance in any one window of
         ``processed_at``, with no driver barrier. Token pools (T7/T8)
-        gate worker-side; compute budgets (T6) charge in absorb() and
+        gate worker-side; compute budgets (T6) charge in _absorb() and
         bench hosts via the shards' set_benched."""
         import ray
         import time as _time
 
-        _dbg = os.environ.get("RAYCRAWL_TIMING")
         _tm = {"seed": 0.0, "refill": 0.0, "dispatch": 0.0, "wait": 0.0,
-               "absorb": 0.0, "fail": 0.0, "stall": 0.0, "final": 0.0,
+               "absorb": 0.0, "stall": 0.0, "final": 0.0,
                "cycles": 0, "chunks": 0, "sweeps": 0, "leases": 0}
         _t = _time.perf_counter()
         cfg = self.cfg
@@ -1501,10 +1407,10 @@ class CrawlEngine:
         unacked: dict[int, list] = {}
 
         def drain_workers() -> None:
-            nonlocal admitted_known, last_pids
+            nonlocal last_pids
             for _ in range(cfg.worker_max_restarts + 2):
                 infos = ray.get([w.drain_info.remote() for w in pool])
-                admitted_known += sum(i["admits"] for i in infos)
+                self._totals["admitted"] += sum(i["admits"] for i in infos)
                 pids = [i["pid"] for i in infos]
                 hit = {
                     (widx // group if tiers else widx)
@@ -1542,10 +1448,8 @@ class CrawlEngine:
                 "aborting — resume from the last checkpoint"
             )
         work_q: deque = deque()  # (take_ref, offset, size, clock, shard)
-        failed_tables: list[pa.Table] = []
         last_flushed_cycle = -1
         processed = 0
-        docs = offered = admitted_known = unchanged = 0
 
         last_counts: list[dict[str, int]] | None = None
 
@@ -1575,11 +1479,7 @@ class CrawlEngine:
             self._sync_pull_politeness()  # its cap scales with the pool
 
         def totals() -> dict:
-            return {
-                "taken": processed, "docs": docs, "offered": offered,
-                "admitted": admitted_known, "failed": self._failed,
-                "unchanged": unchanged, "deadlettered": self._dead,
-            }
+            return dict(self._totals, taken=processed)
 
         # counters at the last checkpoint: on_epoch hooks get deltas
         mark = dict(totals(), deferred=0)
@@ -1598,14 +1498,6 @@ class CrawlEngine:
             mark.update(now)
             for cb in self._epoch_callbacks:
                 cb(self, label, stats)
-
-        def handle_failures_now(stats: dict) -> None:
-            if not failed_tables:
-                return
-            failed = pa.concat_tables(failed_tables)
-            failed_tables.clear()
-            stats["failed"] = failed.num_rows
-            self._handle_failures(failed, cycle, clock_us, stats, sync=False)
 
         def lineage_flush() -> None:
             """Checkpoint = a CONSISTENT cut, so resume_crawl's
@@ -1632,8 +1524,7 @@ class CrawlEngine:
             the bounded-depth pipeline (<= pool x DEPTH chunks) drains
             in one wave, unlike the per-cycle epoch barrier this
             executor exists to avoid."""
-            nonlocal last_flushed_cycle, cycle, admitted_known
-            nonlocal inflight_rows
+            nonlocal last_flushed_cycle, cycle, inflight_rows
             while inflight:
                 done, _ = ray.wait(
                     list(inflight), num_returns=len(inflight),
@@ -1763,57 +1654,28 @@ class CrawlEngine:
             start_refill()
             return finish_refill() if pending_take is not None else 0
 
-        def absorb(results: list[pa.Table]) -> None:
-            nonlocal docs, offered, starved, unchanged
+        def absorb(results: list) -> None:
+            """Fold completed calls: one BatchStats per process_range,
+            a list of them per tier lease."""
+            nonlocal starved
             starved = False  # completions flushed fresh offers to shards
-            result = (
-                results[0] if len(results) == 1 else pa.concat_tables(results)
-            )
-            if self.compute_budget is not None:
-                # T6 under pull: charge per-host byte cost exactly as the
-                # local epoch loop does; newly-benched hosts push to the
-                # shards whose take()-side gate defers their rows until
-                # bench_until (fire-and-forget — benching binds from the
-                # next take wave, the same next-window semantics the
-                # epoch loop has).
-                result, changed = self._charge_host_costs(result, clock_us)
-                if changed:
-                    self._benched_hosts = {
-                        h: u
-                        for h, u in self._benched_hosts.items()
-                        if u > clock_us
-                    }
-                    self._route_refs.extend(
-                        s.set_benched.remote(self._benched_hosts)
-                        for s in self.shards
-                    )
-            summaries = result.filter(
-                pc.equal(result.column("type"), SUMMARY_TYPE)
-            )
-            self._absorb_persec(summaries)
-            docs += int(pc.sum(summaries.column("depth")).as_py() or 0)
-            offered += int(
-                pc.sum(summaries.column("discovery_ts")).as_py() or 0
-            )
-            if self.cfg.max_attempts > 0:
-                # retry ledger ran inside the stage; summaries carry the
-                # failed / deadlettered counters
-                self._failed += int(
-                    pc.sum(summaries.column("status")).as_py() or 0
+            if tiers:
+                results = [b for lease in results for b in lease]
+            if self._absorb(results, clock_us)[1]:
+                # T6: newly-benched hosts push to the shards, whose
+                # take()-side gate defers their rows until bench_until
+                # (fire-and-forget — benching binds from the next take
+                # wave, the same next-window semantics the epoch loop
+                # has)
+                self._benched_hosts = {
+                    h: u
+                    for h, u in self._benched_hosts.items()
+                    if u > clock_us
+                }
+                self._route_refs.extend(
+                    s.set_benched.remote(self._benched_hosts)
+                    for s in self.shards
                 )
-                self._dead += int(
-                    pc.sum(summaries.column("not_before")).as_py() or 0
-                )
-                # with the inline retry ledger only 304s come back
-                unchanged += result.num_rows - summaries.num_rows
-                return
-            rest = result.filter(
-                pc.not_equal(result.column("type"), SUMMARY_TYPE)
-            )
-            failed = rest.filter(pc.equal(rest.column("status"), 404))
-            unchanged += rest.num_rows - failed.num_rows
-            if failed.num_rows:
-                failed_tables.append(failed)
 
         while True:
             # refill only when the queue is genuinely low — counts/take
@@ -1834,15 +1696,8 @@ class CrawlEngine:
                 if self._apply_config_patches():
                     self._sync_pull_politeness()
                 _t = _time.perf_counter()
-                if failed_tables and (
-                    sum(t.num_rows for t in failed_tables) >= chunk * 4
-                ):
-                    stats = {"deadlettered": 0, "failed": 0}
-                    handle_failures_now(stats)
-                _t2 = _time.perf_counter()
-                _tm["fail"] += _t2 - _t
                 start_refill()
-                _tm["refill"] += _time.perf_counter() - _t2
+                _tm["refill"] += _time.perf_counter() - _t
                 _tm["cycles"] += 1
                 if cycle - last_flushed_cycle >= 16:
                     lineage_flush()
@@ -1945,8 +1800,6 @@ class CrawlEngine:
                 continue
             # pipeline empty: drain worker offer buffers, then re-check
             _t = _time.perf_counter()
-            stats = {"deadlettered": 0, "failed": 0}
-            handle_failures_now(stats)
             if self._route_refs:
                 ray.get(self._route_refs)
                 self._route_refs.clear()
@@ -1970,19 +1823,10 @@ class CrawlEngine:
                 starved = False
 
         _t = _time.perf_counter()
-        stats = {"deadlettered": 0, "failed": 0}
-        handle_failures_now(stats)
         if self._route_refs:
             ray.get(self._route_refs)
             self._route_refs.clear()
         lineage_flush()  # drains inflight + workers itself
-        if self._dead_tables:
-            pq.write_table(
-                pa.concat_tables(self._dead_tables),
-                os.path.join(self.dead_dir, "pull-deadletters.parquet"),
-            )
-            self._dead_tables = []
-        self._docs_written = docs
         self._record_stats(cycle, totals())
         # the shard-side politeness gate's deferrals are shard counters
         result = self._finish(
@@ -1995,16 +1839,13 @@ class CrawlEngine:
                 pass
         self._tiers = []
         _tm["final"] = _time.perf_counter() - _t
-        # driver-loop time budget, readable by tools/dispatch_ceiling.py:
-        # every bucket except `wait` is driver work; `wait` is blocked-on-
-        # completion idle (fetch_local transfer overlaps worker compute)
+        # driver-loop time budget, read by tools/dispatch_ceiling.py.
+        # Seconds: seed, refill (take waves), dispatch, wait, absorb,
+        # stall (empty-pipeline drains) and final (close-out); every
+        # bucket except `wait` is driver work, `wait` is blocked-on-
+        # completion idle (fetch_local transfer overlaps worker
+        # compute). Counts: cycles, chunks, sweeps, leases.
         self._pull_timing = dict(_tm)
-        if _dbg:
-            print(
-                "[pull] "
-                + " ".join(f"{k}={v:.2f}" for k, v in _tm.items()),
-                flush=True,
-            )
         return result
 
     def _ingest_lineage(self, lineage: list[dict], epoch: int) -> None:
@@ -2047,35 +1888,39 @@ class CrawlEngine:
                     {"epoch": label, "name": metric, "value": stats[key]}
                 )
 
-    def _absorb_persec(self, summaries: pa.Table) -> None:
-        """Per-second counter buckets (reference: redis-metrics with
-        timeGranularity 'second', lib/crawlerFactory.js:264-277). Each
-        worker summary row stamps its batch-completion wall second
-        (relation) and fetched count (parent_urn); accumulating by
-        (name, second) gives metrics.parquet a sub-epoch time series an
-        operator can watch, alongside the per-epoch totals. Rows are
-        emitted with a 'sec:' name prefix and epoch=-1 so consumers
-        summing bare counter names never double-count."""
-        if summaries.num_rows == 0:
-            return
-        secs = summaries.column("relation").to_pylist()
-        cols = (
-            ("fetch", summaries.column("parent_urn").to_pylist()),
-            ("done", summaries.column("depth").to_pylist()),
-            ("offered", summaries.column("discovery_ts").to_pylist()),
-            ("push", summaries.column("attempt_count").to_pylist()),
-            ("abandon", summaries.column("status").to_pylist()),
-            ("deadletter", summaries.column("not_before").to_pylist()),
-        )
-        for i, s in enumerate(secs):
-            if not s:
-                continue
-            sec = int(s)
-            for name, vals in cols:
-                v = int(vals[i] or 0)
+    def _absorb(
+        self, batches: list[BatchStats], now_us: int
+    ) -> tuple[dict, bool]:
+        """Fold worker BatchStats records into the engine — the one
+        decode both executors share. Adds them to the run totals and to
+        the per-second series (reference redis-metrics with
+        timeGranularity 'second', lib/crawlerFactory.js:264-277:
+        _flush_persec_rows emits them with a 'sec:' name prefix and
+        epoch=-1, so consumers summing bare names never double-count),
+        and charges host costs to the T6 compute budget. Returns these
+        batches' summed counters and whether any host's bench_until in
+        ``_benched_hosts`` changed."""
+        got = dict.fromkeys(self._totals, 0)
+        budget = self.compute_budget
+        changed = False
+        for b in batches:
+            for key in got:
+                got[key] += getattr(b, key)
+            for attr, name in _PERSEC_METRICS:
+                v = getattr(b, attr)
                 if v:
-                    key = (name, sec)
-                    self._persec[key] = self._persec.get(key, 0) + v
+                    sec = (name, b.second)
+                    self._persec[sec] = self._persec.get(sec, 0) + v
+            if budget is None:
+                continue
+            for h, ms in b.host_cost_ms.items():
+                until = budget.consume(h, ms, now_us)
+                if until is not None and self._benched_hosts.get(h) != until:
+                    self._benched_hosts[h] = until
+                    changed = True
+        for key, v in got.items():
+            self._totals[key] += v
+        return got, changed
 
     def _flush_persec_rows(self) -> None:
         for (name, sec), v in sorted(self._persec.items()):

@@ -368,7 +368,6 @@ def recrawl_incremental(sf_dir: str, k: int = 5):
             state_dir=state_dir,
             mode="ray",
             num_shards=4,
-            epoch_budget=20_000,
             fetch_concurrency=4,
             fetch_batch_size=1024,
             seen_capacity=max(100_000, corpus.num_rows * 2),

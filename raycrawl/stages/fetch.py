@@ -24,18 +24,23 @@ in-process) does, per frontier batch —
    attenuation window, providers/queuing/attenuatedQueue.js:24-52),
    and offer them to the owning FrontierShard actors by
    ``hash(url_hash) % S`` — candidates never pass through the driver.
+5. **retry ledger**: a 404 requeues to the retry queue with
+   ``attempt_count + 1`` until ``max_attempts``, then writes a
+   deadletter row (reference ``_retryQueue`` + routes/deadletters.js).
 
-Only failures (404 → retry ledger) and 304s return to the driver, plus
-one summary row per batch carrying counters, so driver traffic is
-O(failures), not O(pages). The raw ``html`` never leaves the stage at
-all.
+Each batch returns one typed ``BatchStats`` record (counters, the wall
+second and per-host fetch cost) and nothing else, so driver traffic is
+O(batches), not O(pages) or O(failures). The raw ``html`` never leaves
+the stage at all.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import time
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
@@ -43,17 +48,33 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..functions.urlnorm import canonicalize_batch
-from ..schemas import DOCUMENT_SCHEMA, FRONTIER_SCHEMA, QUEUES as QUEUE_ORDER
+from ..schemas import DOCUMENT_SCHEMA, FRONTIER_SCHEMA
 from .extract import extract_page
 from .visitor import visit
 
-RESULT_SCHEMA = pa.schema(
-    list(zip(FRONTIER_SCHEMA.names, FRONTIER_SCHEMA.types))
-    + [("status", pa.int32()), ("error", pa.string())]
-)
 
-SUMMARY_TYPE = "__summary__"
-HOSTCOST_TYPE = "__hostcost__"  # per-host fetched-bytes rows (T6)
+@dataclass
+class BatchStats:
+    """What one worker batch reports to the driver. ``fetched`` counts
+    the rows that reached the fetcher (token-gated rows excluded),
+    ``docs`` the documents written, ``failed`` the 404s, ``unchanged``
+    the 304s, ``offered`` the discovered links before dedup,
+    ``admitted`` the synchronous shard admits (local shards only;
+    actor shards report theirs at drain). ``second`` is the
+    batch-completion wall second for the per-second metric series
+    (reference redis-metrics timeGranularity 'second').
+    ``host_cost_ms`` is each host's T6 compute-budget charge, filled
+    only while the compute limiter is on."""
+
+    fetched: int
+    docs: int
+    offered: int
+    admitted: int
+    failed: int
+    deadlettered: int
+    unchanged: int
+    second: int
+    host_cost_ms: dict[str, float]
 
 
 def build_fetch_index(corpus: pa.Table) -> dict[str, np.ndarray]:
@@ -199,8 +220,8 @@ def etag_of(body: bytes) -> str:
 
 
 class CrawlWorkerStage:
-    """The fetch kernel: frontier rows in → failed/unchanged/summary
-    rows out (see module docstring).
+    """The fetch kernel: frontier rows in → one ``BatchStats`` out (see
+    module docstring).
 
     ``corpus``/``index`` may be ObjectRefs (ray mode: resolved once per
     actor here in ``__init__``) or in-memory objects (local mode).
@@ -226,6 +247,7 @@ class CrawlWorkerStage:
         scope_hosts: tuple[str, ...] = (),
         robots_rules: dict | None = None,
         track_host_cost: bool = False,
+        compute_bytes_per_ms: float = 1000.0,
         range_route: bool = False,
         pin_cpu: int | None = None,
         token_specs=None,
@@ -271,10 +293,10 @@ class CrawlWorkerStage:
         self.fetcher = (fetcher_cls or TableFetcher)(corpus, index)
         # A7 latency contract: a fetcher that measures real wall time
         # (an HTTP fetcher in a real deployment) exposes
-        # ``elapsed_ms(row) -> float`` and its host-cost rows then carry
-        # measured microseconds (unit flag 1) instead of the body-bytes
-        # proxy — the ComputeBudget baseline becomes a true network
-        # floor (reference probes real GET latency,
+        # ``elapsed_ms(row) -> float`` and the host cost is then that
+        # measured time instead of the body-bytes proxy — the
+        # ComputeBudget baseline becomes a true network floor
+        # (reference probes real GET latency,
         # lib/crawlerFactory.js:315-346).
         self._elapsed_ms = getattr(self.fetcher, "elapsed_ms", None)
         self.shards = shards
@@ -301,11 +323,12 @@ class CrawlWorkerStage:
         self.epoch = epoch
         self.now_us = now_us
         self.attenuate = attenuate
-        # inline retry ledger (max_attempts > 0): failures are requeued /
-        # deadlettered INSIDE the stage — at 32 CPUs the driver-side
-        # failure round trip (~300k returned rows over a crawl) was a
-        # measured scaling bottleneck, and at 10^10-URL scale failed
-        # rows must never funnel through one process anyway
+        # the retry ledger: failures are requeued / deadlettered INSIDE
+        # the stage — at 32 CPUs a driver-side failure round trip
+        # (~300k returned rows over a crawl) was a measured scaling
+        # bottleneck, and at 10^10-URL scale failed rows must never
+        # funnel through one process anyway. max_attempts <= 1
+        # deadletters every failure on its first attempt.
         self.max_attempts = max_attempts
         self.retry_queue = retry_queue
         self.dead_dir = dead_dir
@@ -319,11 +342,12 @@ class CrawlWorkerStage:
         # is disallowed is dropped in the candidate path — never
         # offered, never fetched.
         self.robots_rules: dict = dict(robots_rules or {})
-        # T6: when set, each batch's result carries one HOSTCOST_TYPE
-        # row per host with the bytes fetched (discovery_ts column) so
-        # the engine can charge the ComputeBudget without shipping
-        # bodies anywhere.
+        # T6: when set, each batch's BatchStats carries every host's
+        # fetch cost in ms (measured latency, or body bytes /
+        # compute_bytes_per_ms) so the engine can charge the
+        # ComputeBudget without shipping bodies anywhere.
         self.track_host_cost = track_host_cost
+        self.compute_bytes_per_ms = compute_bytes_per_ms
         # T7/T8 multi-identity fetch pool (reference tokenFactory.js /
         # limitedTokenFactory.js): each WORKER owns its identity subset
         # (disjoint per worker on a real cluster — no shared mutable
@@ -358,11 +382,9 @@ class CrawlWorkerStage:
         # resets to at-least-once behavior.
         self._offered_seen: set[str] = set()
         self.OFFERED_SEEN_CAP = 1 << 20
-        self.timings = {"lookup": 0.0, "visit": 0.0, "cand": 0.0,
-                        "write": 0.0, "out": 0.0, "n": 0}
 
     def set_track_host_cost(self, on: bool) -> None:
-        """Live-config hook: start/stop emitting HOSTCOST rows when the
+        """Live-config hook: start/stop reporting host costs when the
         compute limiter is toggled mid-crawl (T6 x T11). Also the
         engine's per-flush config HEARTBEAT target: a restarted actor
         re-runs __init__ with its constructor-time value, so the engine
@@ -433,7 +455,7 @@ class CrawlWorkerStage:
 
     def process_range(
         self, table: pa.Table, off: int, size: int, epoch: int, now_us: int
-    ) -> pa.Table:
+    ) -> BatchStats:
         """The pull executor's entry point on a persistent worker
         actor (the crawl is iterative, so one pool serves every take
         wave). The wave's table lives in plasma and every dispatch
@@ -592,9 +614,9 @@ class CrawlWorkerStage:
         self._pending_offers = []
         return total
 
-    def _handle_failures_inline(self, failed: pa.Table) -> tuple[int, int]:
-        """The retry ledger (reference W3/S13), stage-side: returns
-        (retried, deadlettered)."""
+    def _retry_ledger(self, failed: pa.Table) -> int:
+        """The retry ledger (reference W3/S13): returns the deadlettered
+        count."""
         attempts = pc.add(failed.column("attempt_count"), 1)
         failed = failed.set_column(
             FRONTIER_SCHEMA.names.index("attempt_count"),
@@ -638,15 +660,15 @@ class CrawlWorkerStage:
             os.replace(
                 tmp, os.path.join(self.dead_dir, f"dead-{part}.parquet")
             )
-        return retriable.num_rows, exhausted.num_rows
+        return exhausted.num_rows
 
-    def _token_gate(self, batch: pa.Table) -> tuple[pa.Table, int, int]:
+    def _token_gate(self, batch: pa.Table) -> tuple[pa.Table, int]:
         """T7/T8: select a trait-matched identity per request. Benched /
         call-capped identities DEFER the row (requeue with not_before =
         the restore time — the deferDelay analogue); rows no identity
         matches go through the retry ledger like any failed fetch
         (reference: a null token errors the request). Returns
-        (admitted_batch, retried, deadlettered)."""
+        (admitted_batch, deadlettered)."""
         types = batch.column("type").to_pylist()
         pool = self.token_pool
         now = self.now_us
@@ -661,8 +683,8 @@ class CrawlWorkerStage:
             else:
                 keep.append(i)
         if len(keep) == len(types):
-            return batch, 0, 0
-        retried = dead = 0
+            return batch, 0
+        dead = 0
         if defer_i:
             self.token_deferred += len(defer_i)
             deferred = batch.take(pa.array(defer_i, pa.int64())).select(
@@ -682,10 +704,8 @@ class CrawlWorkerStage:
                     )
         if fail:
             self.token_unmatched += len(fail)
-            retried, dead = self._handle_failures_inline(
-                batch.take(pa.array(fail, pa.int64()))
-            )
-        return batch.take(pa.array(keep, pa.int64())), retried, dead
+            dead = self._retry_ledger(batch.take(pa.array(fail, pa.int64())))
+        return batch.take(pa.array(keep, pa.int64())), dead
 
     def token_stats(self) -> dict:
         return {
@@ -822,16 +842,10 @@ class CrawlWorkerStage:
 
     # -- the batch body ----------------------------------------------------
 
-    def get_timings(self) -> dict:
-        return dict(self.timings)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import time as _t
-
-        _t0 = _t.perf_counter()
-        gate_retried = gate_dead = 0
+    def __call__(self, batch: pa.Table) -> BatchStats:
+        gate_dead = 0
         if self.token_pool is not None:
-            batch, gate_retried, gate_dead = self._token_gate(batch)
+            batch, gate_dead = self._token_gate(batch)
         urls = batch.column("url").to_pylist()
         types = batch.column("type").to_pylist()
         depths = batch.column("depth").to_pylist()
@@ -869,7 +883,6 @@ class CrawlWorkerStage:
         # pass instead of per-row __getitem__/.as_py() calls
         bodies = self.fetcher.bodies(idxs[found]) if found.any() else []
         body_pos = np.cumsum(found) - 1  # row i -> bodies[body_pos[i]]
-        _t1 = _t.perf_counter()
 
         statuses = np.full(len(urls), 404, dtype=np.int32)
         doc_rows: dict[str, list] = defaultdict(list)
@@ -880,7 +893,7 @@ class CrawlWorkerStage:
             if self.track_host_cost
             else None
         )
-        host_bytes: dict[str, int] = defaultdict(int)
+        host_cost: dict[str, float] = defaultdict(int)
 
         for i in range(len(urls)):
             from_payload = has_payload is not None and has_payload[i]
@@ -897,9 +910,9 @@ class CrawlWorkerStage:
                 # cost no fetch. Real measured latency when the fetcher
                 # reports it (A7 contract), else the body-bytes proxy.
                 if self._elapsed_ms is not None:
-                    host_bytes[row_hosts[i]] += self._elapsed_ms(row)
+                    host_cost[row_hosts[i]] += self._elapsed_ms(row)
                 else:
-                    host_bytes[row_hosts[i]] += len(body)
+                    host_cost[row_hosts[i]] += len(body)
             etag = etag_of(body)
             # 304-unchanged (etag match): no new document version is
             # written, but children STILL traverse — the reference
@@ -977,7 +990,6 @@ class CrawlWorkerStage:
             doc_rows["lang"].append("" if row < 0 else self.fetcher.lang(row))
             doc_rows["n_links"].append(n_children)
 
-        _t2 = _t.perf_counter()
         offered = len(children)  # pre-dedup (golden queued-children counts)
         admitted = (
             self._offer(self._build_candidates(children, depths))
@@ -986,103 +998,24 @@ class CrawlWorkerStage:
         )
         admitted = max(admitted, 0)  # -1 = deferred to drain()
 
-        _t3 = _t.perf_counter()
         n_docs = len(doc_rows["urn"])
         if n_docs and self.docs_dir is not None:
             self._write_docs(doc_rows)
-        _t4 = _t.perf_counter()
 
-        retried, dead = gate_retried, gate_dead
-        if self.max_attempts > 0:
-            # inline retry ledger: only 304s return to the driver
-            failed_mask = statuses == 404
-            if failed_mask.any():
-                r, d = self._handle_failures_inline(
-                    batch.filter(pa.array(failed_mask))
-                )
-                retried += r
-                dead += d
-            keep_mask = statuses == 304
+        dead = gate_dead
+        failed_mask = statuses == 404
+        if failed_mask.any():
+            dead += self._retry_ledger(batch.filter(pa.array(failed_mask)))
+        # T6 host cost in ms: the fetcher's measured latency rounded to
+        # the microsecond, or the body-bytes proxy
+        if self._elapsed_ms is not None:
+            cost_ms = {
+                h: round(v * 1000) / 1000 for h, v in host_cost.items()
+            }
         else:
-            keep_mask = statuses != 200
-        kept_status = statuses[keep_mask]
-        out = (
-            batch.filter(pa.array(keep_mask))
-            .append_column("status", pa.array(kept_status, pa.int32()))
-            .append_column(
-                "error",
-                pa.array(
-                    ["not found" if s == 404 else "" for s in kept_status],
-                    pa.string(),
-                ),
-            )
-        )
-        # one summary row per batch: depth←n_docs, discovery_ts←offered,
-        # attempt_count←admitted, status←failed, not_before←deadlettered,
-        # parent_urn←fetched-count, relation←batch-completion wall
-        # second (per-second metric bucket, reference redis-metrics
-        # timeGranularity 'second') — decoded by the engine
-        n_failed = int((statuses == 404).sum())
-        summary = pa.Table.from_arrays(
-            [
-                pa.array([""], pa.string()),
-                pa.array([b"\x00" * 20], pa.binary(20)),
-                pa.array([""], pa.string()),
-                pa.array([SUMMARY_TYPE], pa.string()),
-                pa.array([""], pa.string()),
-                pa.array([""], pa.string()),
-                pa.array([n_docs], pa.int32()),
-                pa.array([offered], pa.int64()),
-                pa.array([admitted], pa.int32()),
-                pa.array([dead], pa.int64()),
-                pa.array([str(len(urls))], pa.string()),
-                pa.array([str(int(_t.time()))], pa.string()),
-                pa.array([""], pa.string()),
-                pa.array([""], pa.string()),
-                pa.array([n_failed], pa.int32()),
-                pa.array([""], pa.string()),
-            ],
-            schema=RESULT_SCHEMA,
-        )
-        if host_bytes:
-            hc = len(host_bytes)
-            hosts_arr = list(host_bytes)
-            # unit flag (attempt_count): 1 = fetcher-measured
-            # MICROSECONDS (A7 real-latency contract), 0 = body BYTES
-            # (simulated-network proxy, engine divides by
-            # compute_bytes_per_ms)
-            unit = 1 if self._elapsed_ms is not None else 0
-            vals = [
-                int(round(host_bytes[h] * 1000)) if unit else host_bytes[h]
-                for h in hosts_arr
-            ]
-            summary = pa.concat_tables(
-                [
-                    summary,
-                    pa.Table.from_arrays(
-                        [
-                            pa.array([""] * hc, pa.string()),
-                            pa.array([b"\x00" * 20] * hc, pa.binary(20)),
-                            pa.array(hosts_arr, pa.string()),
-                            pa.array([HOSTCOST_TYPE] * hc, pa.string()),
-                            pa.array([""] * hc, pa.string()),
-                            pa.array([""] * hc, pa.string()),
-                            pa.array([0] * hc, pa.int32()),
-                            pa.array(vals, pa.int64()),
-                            pa.array([unit] * hc, pa.int32()),
-                            pa.array([0] * hc, pa.int64()),
-                            pa.array([""] * hc, pa.string()),
-                            pa.array([""] * hc, pa.string()),
-                            pa.array([""] * hc, pa.string()),
-                            pa.array([""] * hc, pa.string()),
-                            pa.array([0] * hc, pa.int32()),
-                            pa.array([""] * hc, pa.string()),
-                        ],
-                        schema=RESULT_SCHEMA,
-                    ),
-                ]
-            )
-        _t45 = _t.perf_counter()
+            cost_ms = {
+                h: v / self.compute_bytes_per_ms for h, v in host_cost.items()
+            }
         # flush shards with a meaningful backlog so they admit rows
         # continuously and the driver's next take sees them without a
         # barrier — flushing all shards every batch was measured at
@@ -1091,12 +1024,14 @@ class CrawlWorkerStage:
         for sid, nbuf in list(self._buf_rows.items()):
             if nbuf >= 2048:
                 self._flush_shard(sid)
-        _t5 = _t.perf_counter()
-        self.timings["fl"] = self.timings.get("fl", 0.0) + _t5 - _t45
-        self.timings["lookup"] += _t1 - _t0
-        self.timings["visit"] += _t2 - _t1
-        self.timings["cand"] += _t3 - _t2
-        self.timings["write"] += _t4 - _t3
-        self.timings["out"] += _t5 - _t4
-        self.timings["n"] += len(urls)
-        return pa.concat_tables([out, summary])
+        return BatchStats(
+            fetched=len(urls),
+            docs=n_docs,
+            offered=offered,
+            admitted=admitted,
+            failed=int(failed_mask.sum()),
+            deadlettered=dead,
+            unchanged=int((statuses == 304).sum()),
+            second=int(time.time()),
+            host_cost_ms=cost_ms,
+        )

@@ -43,7 +43,6 @@ def crawl_state(tmp_path_factory):
             "--workers", "2",
             "--shards", "4",
             "--seen-filter", "exact",
-            "--epoch-budget", "5000",
         ]
     )
     return state, json.loads(line)
@@ -77,7 +76,6 @@ def test_cli_resume_reproduces_seen_digest(crawl_state):
             "--workers", "2",
             "--shards", "4",
             "--seen-filter", "exact",
-            "--epoch-budget", "5000",
         ]
     )
     out = json.loads(line)
@@ -109,7 +107,6 @@ def test_cli_path_corpus_and_seeds_file(tmp_path):
             "--workers", "2",
             "--shards", "4",
             "--seen-filter", "exact",
-            "--epoch-budget", "5000",
         ]
     )
     out = json.loads(line)

@@ -191,9 +191,9 @@ def test_pull_compute_budget_same_result(corpus, oracle, tmp_path, ray_session):
 
 def _latency_fetcher_cls():
     """TableFetcher + the A7 real-latency contract: a fetcher that
-    measures wall time exposes ``elapsed_ms(row)`` and the worker's
-    host-cost rows then carry measured microseconds (unit flag 1)
-    instead of the body-bytes proxy. Here latency is deterministic:
+    measures wall time exposes ``elapsed_ms(row)`` and the worker then
+    reports that measured time as each host's cost instead of the
+    body-bytes proxy. Here latency is deterministic:
     host0 is a slow origin (60 ms), everything else 1 ms (the rolling-
     min baseline). Defined inside a function so cloudpickle ships the
     class BY VALUE to worker actors (a test-module-level class would
@@ -371,6 +371,38 @@ def test_per_second_metric_buckets_pull(corpus, tmp_path, ray_session):
     # buffered offers resolve at drain(), not per batch, so the pull
     # executor has no per-second push series — fetch/done/offered do
     _persec_check(result, ("fetch", "done", "offered"))
+
+
+@pytest.mark.parametrize("mode", ["local", "ray"])
+@pytest.mark.parametrize("max_attempts", [0, 1])
+def test_first_failure_deadletters(
+    corpus, oracle, tmp_path, ray_session, max_attempts, mode
+):
+    """max_attempts <= 1: the workers' retry ledger deadletters every
+    failure on its first attempt, under both executors — each dangling
+    url once, with attempt_count 1, and the abandon / deadletter
+    totals and per-second series all count exactly those urls."""
+    cfg = CrawlConfig(
+        state_dir=str(tmp_path / "state"),
+        mode=mode,
+        num_shards=3,
+        max_attempts=max_attempts,
+        fetch_concurrency=2,
+        fetch_batch_size=16,
+    )
+    engine = CrawlEngine(corpus, cfg)
+    result = engine.run(seeds=default_seeds(2))
+    engine.close()
+    dangling = oracle[1]
+    dead = result.deadletters_table()
+    assert sorted(dead.column("url").to_pylist()) == sorted(dangling)
+    assert dead.column("attempt_count").to_pylist() == [1] * len(dangling)
+    sums: dict[str, int] = {}
+    for r in result.metrics.to_pylist():
+        sums[r["name"]] = sums.get(r["name"], 0) + r["value"]
+    for name in ("abandon", "deadletter", "sec:abandon", "sec:deadletter"):
+        assert sums.get(name) == len(dangling), name
+    assert result.deadlettered == result.failed == len(dangling)
 
 
 def test_pull_resume_reproduces_seen_set(corpus, oracle, tmp_path, ray_session):
@@ -958,7 +990,7 @@ def test_offer_checked_drain_contract(corpus, tmp_path, ray_session):
         out = stage.process_range(
             ray.get(ref), 0, frontier.num_rows, epoch=0, now_us=now
         )
-        assert out.num_rows > 0
+        assert out.fetched == frontier.num_rows
         info = stage.drain_info()
         import os
 

@@ -182,7 +182,11 @@ def test_live_patch_mid_crawl_changes_behavior(corpus, oracle, tmp_path):
     assert engine.config_snapshot()["crawler"]["host_rate_per_sec"] == 1e9
 
 
-def test_live_patch_dict_form_and_unknown_subsystem(corpus, tmp_path):
+def test_live_patch_dict_form_and_unknown_subsystem(
+    corpus, tmp_path, ray_session
+):
+    from raycrawl import api
+
     cfg = CrawlConfig(
         state_dir=str(tmp_path / "state"), mode="local", num_shards=2
     )
@@ -190,6 +194,8 @@ def test_live_patch_dict_form_and_unknown_subsystem(corpus, tmp_path):
     engine.patch_config({"crawler": {"epoch_budget": 7}})
     engine._apply_config_patches()
     assert engine.cfg.epoch_budget == 7
+    # GET /config mirrors the live values a patch landed
+    assert api.get_config(engine) == engine.config_snapshot()
     # validation is EAGER (ADVICE r2): an invalid PATCH raises at the
     # route (patch_config), never mid-crawl, and queued good patches
     # are not dropped by a later bad one
@@ -226,6 +232,18 @@ def test_live_patch_dict_form_and_unknown_subsystem(corpus, tmp_path):
     )
     with pytest.raises(ValueError, match="dispatcher tier"):
         tiered.patch_config({"fetcher": {"concurrency": 3}})
+    # the pull executor never reads epoch_budget: patching it under
+    # mode='ray' is rejected instead of landing without effect
+    pull = CrawlEngine(
+        corpus,
+        CrawlConfig(state_dir=str(tmp_path / "pull"), mode="ray",
+                    num_shards=1, fetch_concurrency=1),
+    )
+    try:
+        with pytest.raises(ValueError, match="epoch_budget"):
+            pull.patch_config({"crawler": {"epoch_budget": 7}})
+    finally:
+        pull.close()
 
 
 def test_live_patch_pool_resize(corpus, oracle, tmp_path, ray_session):

@@ -3,8 +3,8 @@
 
 The continuous (pull) executor funnels every chunk through one driver
 loop (`CrawlEngine._run_pull`): take-wave refill, per-chunk dispatch,
-completion sweep, summary absorb. On this sandbox that loop serves ~27
-workers; a fixed multi-node cluster has hundreds. This tool measures
+completion sweep, batch-stats absorb. On this sandbox that loop serves
+~27 workers; a fixed multi-node cluster has hundreds. This tool measures
 what the loop actually costs per chunk and extrapolates the worker
 count at which the driver saturates (utilization -> 1.0, workers start
 idling on dispatch latency).
@@ -66,7 +66,6 @@ def measure(workers: int, corpus, num_shards: int, reserve: int) -> dict:
         state_dir=state,
         mode="ray",
         num_shards=num_shards,
-        epoch_budget=max(100_000, corpus.num_rows),
         fetch_concurrency=workers,
         fetch_batch_size=chunk,
         reserve_cores=reserve,
