@@ -16,6 +16,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from . import wire
 from .pipelines.crawl import CrawlEngine
 from .schemas import DEADLETTER_SCHEMA, FRONTIER_SCHEMA, QUEUES
 from .state.auth import guarded
@@ -34,22 +35,30 @@ def queue_depths(engine: CrawlEngine) -> dict[str, int]:
     return totals
 
 
+def _take_sorted(engine: CrawlEngine, queue: str, count: int) -> pa.Table:
+    """Take up to ``count`` rows of ``queue`` from every shard, in
+    priority order. Shards return ``wire.dump`` buffers (take_split),
+    so no shard actor ships a table through Ray's own serializer."""
+    takes = [
+        wire.load(buf)
+        for _, buf in engine._call("take_split", {queue: count}, 2**62)
+    ]
+    table = pa.concat_tables(takes)
+    order = pc.sort_indices(
+        table,
+        sort_keys=[("depth", "ascending"), ("discovery_ts", "ascending"),
+                   ("url", "ascending")],
+    )
+    return table.take(order)
+
+
 @guarded
 def peek(engine: CrawlEngine, queue: str, count: int = 25) -> pa.Table:
     """GET /requests/:queue?count — top-N pending requests in priority
     order WITHOUT consuming them (O4, routes/requests.js:30-44, capped
     at 100 like the reference)."""
     count = min(count, 100)
-    takes = engine._call("take", {queue: count}, 2**62)
-    table = pa.concat_tables([t for t in takes if t.num_rows]) if takes else None
-    if table is None or table.num_rows == 0:
-        return FRONTIER_SCHEMA.empty_table()
-    order = pc.sort_indices(
-        table,
-        sort_keys=[("depth", "ascending"), ("discovery_ts", "ascending"),
-                   ("url", "ascending")],
-    )
-    table = table.take(order)
+    table = _take_sorted(engine, queue, count)
     # peek ≠ pop: put EVERYTHING taken back (requeue skips dedup), then
     # return only the top slice — requeuing just the slice would silently
     # drop the rest of the taken rows from the frontier.
@@ -61,21 +70,9 @@ def peek(engine: CrawlEngine, queue: str, count: int = 25) -> pa.Table:
 def pop(engine: CrawlEngine, queue: str, count: int = 25) -> pa.Table:
     """DELETE /requests/:queue?count — consume top-N (routes/requests.js:11-14)."""
     count = min(count, 100)
-    takes = engine._call("take", {queue: count}, 2**62)
-    tables = [t for t in takes if t.num_rows]
-    if not tables:
-        return FRONTIER_SCHEMA.empty_table()
-    table = pa.concat_tables(tables)
-    order = pc.sort_indices(
-        table,
-        sort_keys=[("depth", "ascending"), ("discovery_ts", "ascending"),
-                   ("url", "ascending")],
-    )
-    table = table.take(order)
-    keep, give = table.slice(count), table.slice(0, count)
-    if keep.num_rows:
-        engine._route(keep, "requeue")
-    return give
+    table = _take_sorted(engine, queue, count)
+    engine._route(table.slice(count), "requeue")
+    return table.slice(0, count)
 
 
 @guarded

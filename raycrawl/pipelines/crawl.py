@@ -53,6 +53,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from .. import wire
 from ..corpus import BASE_TS_US
 from ..functions.urlnorm import canonicalize_batch
 from ..schemas import (
@@ -930,7 +931,8 @@ class CrawlEngine:
         """Driver-side routing for small row sets (seeds, retries,
         deferrals); bulk candidate routing happens inside the
         distributed stage. Uses the same vectorized splitter as the
-        workers (single-owner invariant)."""
+        workers (single-owner invariant); shard actors get each part
+        as a ``wire.dump`` buffer, as from the workers."""
         if rows.num_rows == 0:
             return 0
         splitter = CrawlWorkerStage._shard_split
@@ -942,7 +944,9 @@ class CrawlEngine:
             return sum(
                 ray.get(
                     [
-                        getattr(self.shards[sid], method).remote(sub)
+                        getattr(self.shards[sid], method).remote(
+                            wire.dump(sub)
+                        )
                         for sid, sub in parts
                     ]
                 )

@@ -2085,7 +2085,7 @@ def domain_mix_sample(sf_dir: str):
     same multiplicative hash as dataset_split_hash — each document's
     keep/drop decision depends only on its id, so the mix is stable
     under resharding, append, and re-runs, and composes with the
-    train/val/test split (independent hash uses). Pure per-batch
+    train/val/test split (distinct hash uses). Pure per-batch
     filter + projection; no shuffle, nothing materializes."""
 
     def samp(t: pa.Table) -> pa.Table:
@@ -2830,7 +2830,7 @@ def importance_sample(sf_dir: str):
     carrying rare vocabulary survive at higher rates than boilerplate.
     The coin is the salted multiplicative hash of doc_id (a DIFFERENT
     odd constant than dataset_split_hash / domain_mix_sample, so the
-    three decisions are independent), making the sample stable under
+    three decisions are distinct), making the sample stable under
     resharding, append, and re-runs — the same reason the hash split
     beats random_shuffle at corpus scale.
 

@@ -52,6 +52,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from .. import wire
 from .fetch import (
     _digests_to_h64_tail,
     build_fetch_index_from_digests,
@@ -73,7 +74,8 @@ _MAX_SHARDS = 1 << 16
 
 
 class ShardedCorpus:
-    """Driver-side handle: per-shard table/index ObjectRefs + routing.
+    """Driver-side handle: per-shard table/index ObjectRefs + routing
+    (a table ref holds the ``wire.dump`` buffer of the shard's table).
 
     Plain data (no actor): passing it to a worker ships only the refs;
     workers resolve shards lazily in ``ShardedTableFetcher``.
@@ -183,15 +185,17 @@ def _split_source(piece, bits: int) -> list[pa.Table]:
 
 def _build_shard_tables(*pieces: pa.Table):
     """Per-shard build: concat routed pieces → prepared single-chunk
-    table + h64-sorted index + this shard's robots.txt rows (tiny,
-    returned to the driver for politeness-rule parsing)."""
+    table (as a ``wire.dump`` buffer: the fetch workers that resolve it
+    mid-crawl then never run Ray's table serializer) + h64-sorted index
+    + this shard's robots.txt rows (tiny, returned to the driver for
+    politeness-rule parsing)."""
     t = pa.concat_tables([p for p in pieces if p.num_rows] or pieces[:1])
     digests = t.column("url_hash").to_pylist()
     t = prepare_corpus(t.drop_columns(["url_hash"]))
     index = build_fetch_index_from_digests(digests)
     robots = t.filter(pc.ends_with(t.column("url"), "/robots.txt"))
     robots = robots.select(["url", "html"])
-    return t, index, robots
+    return wire.dump(t), index, robots
 
 
 _REMOTES: dict = {}
@@ -351,7 +355,7 @@ class ShardedTableFetcher:
 
             self.resolve_count += 1
             self.shards_touched.add(sid)
-            tab = ray.get(self._h.table_refs[sid])
+            tab = wire.load(ray.get(self._h.table_refs[sid]))
             idx = ray.get(self._h.index_refs[sid])
             for name in ("html", "lang", "warc_ts"):
                 if tab.column(name).num_chunks != 1:  # pragma: no cover

@@ -4,11 +4,13 @@ Design: one pool of persistent fetch-worker actors (``process_range``,
 driven by the pull executor; ``mode='local'`` calls the same kernel
 in-process) does, per frontier batch —
 
-1. **fetch**: look up each URL's body in the broadcast pages corpus
-   (the sandbox's simulated network; a real deployment swaps
+1. **fetch**: look up each URL's body in the pages corpus (the
+   simulated network; a real deployment swaps
    ``TableFetcher`` for an HTTP fetcher with the same interface). The
-   corpus Arrow table and its hash index are ``ray.put`` ONCE and read
-   zero-copy in each actor's ``__init__`` — never re-shipped per batch.
+   default ray path range-shards the corpus (corpus_shards.py) and
+   resolves each shard zero-copy from plasma on first use; otherwise
+   the corpus table and its hash index are ``ray.put`` ONCE and read
+   in each actor's ``__init__`` — never re-shipped per batch.
    Lookup is by the 20-byte ``url_hash`` the frontier rows already
    carry: binary search over a sorted uint64 prefix array + 12-byte
    tail verification (no Python-string comparisons in the hot path).
@@ -31,7 +33,9 @@ in-process) does, per frontier batch —
 Each batch returns one typed ``BatchStats`` record (counters, the wall
 second and per-host fetch cost) and nothing else, so driver traffic is
 O(batches), not O(pages) or O(failures). The raw ``html`` never leaves
-the stage at all.
+the stage at all. Tables that do cross Ray (take waves in, offers and
+requeues out) travel as Arrow IPC buffers (``raycrawl/wire.py``), so a
+worker never runs Ray's table serializer and its ``ray.air`` import.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from .. import wire
 from ..functions.urlnorm import canonicalize_batch
 from ..schemas import DOCUMENT_SCHEMA, FRONTIER_SCHEMA
 from .extract import extract_page
@@ -225,8 +230,9 @@ class CrawlWorkerStage:
 
     ``corpus``/``index`` may be ObjectRefs (ray mode: resolved once per
     actor here in ``__init__``) or in-memory objects (local mode).
-    ``shards``: FrontierShard actor handles (ray) or FrontierShardState
-    instances (local parity mode — same code path, direct calls).
+    ``shards``: FrontierShardState actor handles (ray; tables go to
+    them as ``wire.dump`` buffers) or plain instances (local parity
+    mode — same code path, direct calls).
     """
 
     def __init__(
@@ -454,27 +460,25 @@ class CrawlWorkerStage:
         self.now_us = now_us
 
     def process_range(
-        self, table: pa.Table, off: int, size: int, epoch: int, now_us: int
+        self, buf: pa.Buffer, off: int, size: int, epoch: int, now_us: int
     ) -> BatchStats:
         """The pull executor's entry point on a persistent worker
         actor (the crawl is iterative, so one pool serves every take
-        wave). The wave's table lives in plasma and every dispatch
-        passes (ref, offset, size) — driver-side per-chunk
-        serialization of table slices was a measured scaling
-        bottleneck; plasma reads here are zero-copy. ``epoch`` labels
-        the doc dir (the checkpoint cycle); ``now_us`` is the clock of
-        the take wave that admitted the rows. Accepts either a bare
-        table ref or a shard take_with_counts response dict.
+        wave). The wave lives in plasma as the IPC buffer a shard's
+        ``take_split`` returned, and every dispatch passes (ref,
+        offset, size) — driver-side per-chunk serialization of table
+        slices was a measured scaling bottleneck; ``wire.load`` reads
+        the buffer zero-copy. ``epoch`` labels the doc dir (the
+        checkpoint cycle); ``now_us`` is the clock of the take wave
+        that admitted the rows.
 
         Child offers stay fire-and-forget and buffered across ranges;
         their durability is the engine's checked drain (drain_info pid
         comparison + side-effect replay of the ranges returned since
         the last ack) — a per-range synchronous ack was measured to
         serialize every range on shard RPC latency."""
-        if isinstance(table, dict):
-            table = table["table"]
         self.set_epoch(epoch, now_us)
-        return self(table.slice(off, size))
+        return self(wire.load(buf).slice(off, size))
 
     # -- candidate routing -------------------------------------------------
 
@@ -540,9 +544,9 @@ class CrawlWorkerStage:
         if not tables:
             return
         # combine_chunks before the RPC: buffered offers are many small
-        # per-batch tables, and Ray serializes chunk-by-chunk — one
-        # memcpy into a single chunk was measured much cheaper than
-        # serializing the fragments. No re-dedup here: _build_candidates
+        # per-batch tables, and the IPC stream writes (and the shard
+        # reads back) one record batch per chunk — one memcpy ships them
+        # as a single batch instead. No re-dedup here: _build_candidates
         # already attenuates across batches (the _offered_seen
         # suppressor), and shard insert-if-absent is authoritative.
         t = (
@@ -550,7 +554,9 @@ class CrawlWorkerStage:
             if len(tables) == 1
             else pa.concat_tables(tables).combine_chunks()
         )
-        self._pending_offers.append(self.shards[sid].offer.remote(t))
+        self._pending_offers.append(
+            self.shards[sid].offer.remote(wire.dump(t))
+        )
 
     def warm_corpus_shards(self, sids: list[int]) -> int:
         """Pre-resolve (mmap, or restore-from-spill) corpus shards —
@@ -640,7 +646,7 @@ class CrawlWorkerStage:
                     self.shards[sid].requeue(sub)
                 else:
                     self._pending_misc.append(
-                        self.shards[sid].requeue.remote(sub)
+                        self.shards[sid].requeue.remote(wire.dump(sub))
                     )
         if exhausted.num_rows and self.dead_dir is not None:
             dead = exhausted.select(FRONTIER_SCHEMA.names).append_column(
@@ -700,7 +706,7 @@ class CrawlWorkerStage:
                     self.shards[sid].requeue(sub)
                 else:
                     self._pending_misc.append(
-                        self.shards[sid].requeue.remote(sub)
+                        self.shards[sid].requeue.remote(wire.dump(sub))
                     )
         if fail:
             self.token_unmatched += len(fail)

@@ -28,7 +28,9 @@ spool layout already supports it. The Bloom seen filter at 1e9 keys
 per shard ≈ 1.2 GB (fpr 1e-3), so 64 shards cover 10^10 URLs.
 
 The plain class is fully testable without Ray; ``create_shards`` wraps
-it with ``ray.remote``.
+it with ``ray.remote``. Tables cross the actor boundary as Arrow IPC
+buffers (``raycrawl/wire.py``): ``offer`` and ``requeue`` accept one in
+place of a table, and ``take_split`` returns one.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from .. import wire
 from ..schemas import FRONTIER_SCHEMA, QUEUES
 from .seenfilter import make_seen_filter
 
@@ -173,12 +176,15 @@ class FrontierShardState:
         )
         return bool(ok.all())
 
-    def offer(self, table: pa.Table) -> int:
+    def offer(self, table: pa.Table | pa.Buffer) -> int:
         """Dedup-admit candidate rows (insert-if-absent on url_hash);
         admitted rows enter the pending set and the epoch spool.
         Returns the number admitted; the rest are 'bounced'
         (reference queueOutcome='Bounced',
-        providers/queuing/redisRequestTracker.js:27)."""
+        providers/queuing/redisRequestTracker.js:27). Ray callers send
+        the rows as ``wire.dump(table)``."""
+        if isinstance(table, pa.Buffer):
+            table = wire.load(table)
         digests = table.column("url_hash").to_pylist()
         mask = self.seen.add_if_absent(digests)
         admitted = int(mask.sum())
@@ -228,10 +234,13 @@ class FrontierShardState:
             i, "payload_etag", pa.array(cur.tolist(), pa.string())
         )
 
-    def requeue(self, table: pa.Table) -> int:
+    def requeue(self, table: pa.Table | pa.Buffer) -> int:
         """Re-enqueue rows WITHOUT dedup (retries after failure, deferred
         rows): the reference's abandon→redelivery with attemptCount++
-        (providers/queuing/amqpQueue.js:134-144)."""
+        (providers/queuing/amqpQueue.js:134-144). Ray callers send the
+        rows as ``wire.dump(table)``."""
+        if isinstance(table, pa.Buffer):
+            table = wire.load(table)
         n = self._append(table)
         self.metrics["repush"] += n
         self._maybe_spill()
@@ -530,7 +539,8 @@ class FrontierShardState:
         global head lies within the per-run quota-length head prefixes,
         so only O(runs x quota) key rows are merged per take — the
         whole pending set is never re-sorted. The slow exact path runs
-        only when some pending row is deferred into the future."""
+        only when some pending row is deferred into the future.
+        In-process only: remote callers take through ``take_split``."""
         out: list[pa.Table] = []
         for queue, quota in quotas.items():
             if quota <= 0:
@@ -653,49 +663,24 @@ class FrontierShardState:
         self._pending[queue] = [keep] if keep.num_rows else []
         return taken
 
-    def take_with_counts(
-        self, quotas: dict[str, int], now_us: int, min_rows: int = 0
-    ) -> dict[str, Any]:
-        """take() plus post-take pending counts in ONE round trip — the
-        pull executor's refill path; a separate counts() RPC round per
-        refill was a measured driver bottleneck. ``min_rows``: skip the
-        take entirely (O(1) count check, no sort) unless at least that
-        many rows are pending in the requested queues — lets pull
-        workers batch their takes instead of draining crumbs, cutting
-        the per-take O(P log P) priority sort from ~1 per 100 rows to
-        ~1 per chunk."""
-        if quotas and min_rows > 0:
-            avail = sum(
-                sum(t.num_rows for t in self._pending.get(q, []))
-                + self._spilled_counts.get(q, 0)
-                for q in quotas
-            )
-            if avail < min_rows:
-                return {
-                    "table": FRONTIER_SCHEMA.empty_table(),
-                    "counts": self.counts(),
-                }
-        return {
-            "table": self.take(quotas, now_us) if quotas else
-            FRONTIER_SCHEMA.empty_table(),
-            "counts": self.counts(),
-        }
-
     def take_split(
         self, quotas: dict[str, int], now_us: int
-    ) -> tuple[dict[str, Any], pa.Table]:
-        """take_with_counts as a (meta, table) pair for
-        ``.options(num_returns=2)``: the driver reads ONLY the tiny
-        meta object (row count + pending counts) and hands the table's
-        ObjectRef straight to the fetch workers — deserializing each
-        take wave (tens of MB at full width) on the driver was a
-        measured scaling bottleneck at 32 CPUs."""
+    ) -> tuple[dict[str, Any], pa.Buffer]:
+        """take() plus post-take pending counts in ONE round trip, as a
+        (meta, ``wire.dump(table)``) pair for
+        ``.options(num_returns=2)``: the pull executor's refill path (a
+        separate counts() RPC round per refill was a measured driver
+        bottleneck). The driver reads ONLY the tiny meta object (row
+        count + pending counts) and hands the buffer's ObjectRef
+        straight to the fetch workers, which ``wire.load`` it —
+        deserializing each take wave (tens of MB at full width) on the
+        driver was a measured scaling bottleneck at 32 CPUs."""
         t = (
             self.take(quotas, now_us)
             if quotas
             else FRONTIER_SCHEMA.empty_table()
         )
-        return {"num": t.num_rows, "counts": self.counts()}, t
+        return {"num": t.num_rows, "counts": self.counts()}, wire.dump(t)
 
     # -- epoch lifecycle / lineage ----------------------------------------
 

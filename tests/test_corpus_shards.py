@@ -105,9 +105,26 @@ def test_membership_probes_match_whole_index(ray_session, corpus, handle):
     assert handle.membership([]).shape == (0,)
 
 
+def test_empty_shard_lookup_misses(ray_session, corpus):
+    """A range shard no corpus row hashes into still resolves: a
+    lookup routed to it misses instead of raising."""
+    from raycrawl.stages.corpus_shards import (
+        ShardedTableFetcher,
+        build_sharded_corpus,
+    )
+
+    h, _ = build_sharded_corpus(corpus.slice(0, 0), 2)
+    f = ShardedTableFetcher(h)
+    _, digests, _ = canonicalize_batch(corpus.column("url").to_pylist()[:20])
+    found, _ = f.lookup(digests)
+    assert not found.any()
+    assert len(f.shards_touched) == 2  # both (empty) shards resolved
+
+
 def test_parquet_dir_source_builds_identical_shards(ray_session, corpus):
     import ray
 
+    from raycrawl import wire
     from raycrawl.stages.corpus_shards import build_sharded_corpus
 
     d = tempfile.mkdtemp(prefix="corpus_src_", dir="/tmp")
@@ -117,8 +134,8 @@ def test_parquet_dir_source_builds_identical_shards(ray_session, corpus):
     h_dir, _ = build_sharded_corpus(d, 4)
     assert h_dir.num_shards == h_tab.num_shards == 4
     for sid in range(4):
-        a = ray.get(h_tab.table_refs[sid])
-        b = ray.get(h_dir.table_refs[sid])
+        a = wire.load(ray.get(h_tab.table_refs[sid]))
+        b = wire.load(ray.get(h_dir.table_refs[sid]))
         # same row SET per range shard regardless of source layout
         assert sorted(a.column("url").to_pylist()) == sorted(
             b.column("url").to_pylist()

@@ -223,6 +223,44 @@ def _latency_fetcher_cls():
     return LatencyFetcher
 
 
+def test_ray_crawl_actors_never_import_ray_air(
+    corpus, oracle, tmp_path, ray_session
+):
+    """Tables cross the crawl's actor boundaries as IPC buffers
+    (raycrawl/wire.py), so no fetch worker or frontier shard runs Ray's
+    table serializer, whose first use imports ``ray.air`` (~0.5 s of
+    CPU per fresh actor, inside run()). The API's peek takes the same
+    way."""
+    import sys
+
+    import ray
+
+    from raycrawl import api
+
+    cfg = CrawlConfig(
+        state_dir=str(tmp_path / "state"), mode="ray",
+        num_shards=3, fetch_concurrency=2, fetch_batch_size=16,
+    )
+    engine = CrawlEngine(corpus, cfg)
+    assert engine.corpus_handle is not None  # the sharded corpus path
+    try:
+        result = engine.run(seeds=default_seeds(2))
+        _check_against_oracle(corpus, result, oracle)
+        assert api.queue_requests(engine, ["someorg", "someorg/repo"]) == 2
+        assert api.peek(engine, "normal").num_rows == 2
+        actors = engine.workers + engine.shards
+        assert len(actors) == 5
+        loaded = ray.get(
+            [
+                a.__ray_call__.remote(lambda self: "ray.air" in sys.modules)
+                for a in actors
+            ]
+        )
+        assert loaded == [False] * len(actors)
+    finally:
+        engine.close()
+
+
 @pytest.mark.parametrize("mode", ["local", "pull"])
 def test_real_latency_fetcher_feeds_compute_budget(
     corpus, oracle, tmp_path, ray_session, mode
@@ -972,6 +1010,7 @@ def test_offer_checked_drain_contract(corpus, tmp_path, ray_session):
 
     import ray
 
+    from raycrawl import wire
     from raycrawl.pipelines.crawl import build_frontier_rows
     from raycrawl.stages.fetch import CrawlWorkerStage, build_fetch_index
     from raycrawl.state.frontier import create_shards
@@ -986,7 +1025,7 @@ def test_offer_checked_drain_contract(corpus, tmp_path, ray_session):
         )
         now = int(time.time() * 1e6)
         frontier = build_frontier_rows(default_seeds(2), base_ts=now)
-        ref = ray.put(frontier)
+        ref = ray.put(wire.dump(frontier))
         out = stage.process_range(
             ray.get(ref), 0, frontier.num_rows, epoch=0, now_us=now
         )
