@@ -37,11 +37,14 @@ def queue_depths(engine: CrawlEngine) -> dict[str, int]:
 
 def _take_sorted(engine: CrawlEngine, queue: str, count: int) -> pa.Table:
     """Take up to ``count`` rows of ``queue`` from every shard, in
-    priority order. Shards return ``wire.dump`` buffers (take_split),
-    so no shard actor ships a table through Ray's own serializer."""
+    priority order, past the politeness gate. Shards return
+    ``wire.dump`` buffers (take_split), so no shard actor ships a table
+    through Ray's own serializer."""
     takes = [
         wire.load(buf)
-        for _, buf in engine._call("take_split", {queue: count}, 2**62)
+        for _, buf in engine._call(
+            "take_split", {queue: count}, 2**62, gate=False
+        )
     ]
     table = pa.concat_tables(takes)
     order = pc.sort_indices(

@@ -7,11 +7,11 @@ over two executors that share every kernel:
 
 ``mode='ray'`` — the continuous pull scheduler (``_run_pull``): the
 driver keeps every fetch-worker actor ~2 chunks deep with take waves
-from the FrontierShard actors, with no epoch barrier. Politeness,
-compute-budget benching and retries run shard- and worker-side;
-candidate links go straight from the workers to their owning shards.
-Every 16 cycles a checkpoint drains the pipeline, acks the workers'
-offers, flushes the shards' admitted spools and advances the manifest.
+from the FrontierShard actors, with no epoch barrier. Retries run
+worker-side; candidate links go straight from the workers to their
+owning shards. Every 16 cycles a checkpoint drains the pipeline, acks
+the workers' offers, flushes the shards' admitted spools and advances
+the manifest.
 
 ``mode='local'`` — the single-process golden executor: a barriered
 epoch loop (the reference's InMemory crawler mode,
@@ -22,9 +22,6 @@ the golden-parity tests:
       take: weighted per-queue quotas from the shards
             (pop weights events 10 / immediate 3 / soon 2 / normal 3 /
              later 2 — reference lib/crawlerFactory.js:80)
-      politeness: per-host allowance (rate × epoch window); overflow rows
-            deferred with not_before = now + deferDelay
-            (reference lib/crawlerFactory.js:74)
       fetch+visit+sink+route+retry: the CrawlWorkerStage kernel
             (stages/fetch.py) — documents to Parquet, candidate links
             offered to the owning shard, failed rows re-queued to the
@@ -34,6 +31,14 @@ the golden-parity tests:
             BatchStats record per batch returns
       lineage: every shard flushes its admitted rows per epoch
             (delta-store analogue, providers/storage/deltaStore.js)
+
+Both executors enforce politeness and compute-budget benching in one
+place, inside the shards' take() (FrontierShardState.
+configure_politeness / set_benched): one take wave or epoch is one
+logical window, each shard admits its rotating share of a host's
+per-window allowance (rate × window, lowered by a robots Crawl-delay),
+and overflow rows stay in the shard with not_before = the next window
+start (the reference's deferral, lib/crawlerFactory.js:74).
 
 The driver only ever holds frontier METADATA rows; page bodies live
 entirely inside the fetch workers. Termination: all shards drained.
@@ -57,6 +62,7 @@ from .. import wire
 from ..corpus import BASE_TS_US
 from ..functions.urlnorm import canonicalize_batch
 from ..schemas import (
+    CHILD_QUEUE,
     DEADLETTER_SCHEMA,
     FRONTIER_SCHEMA,
     LINEAGE_SCHEMA,
@@ -92,11 +98,8 @@ class CrawlConfig:
     epoch_budget: int = 100_000
     max_epochs: int = 100_000
     max_attempts: int = 3
-    retry_queue: str = "immediate"
-    child_queue: str = "normal"
     host_rate_per_sec: float = 1e9   # politeness budget; tests lower it
     epoch_seconds: float = 1.0
-    defer_delay_sec: float = 0.5
     seen_filter: str = "exact"       # 'exact' | 'bloom'
     # frontier spill: max in-memory pending rows PER SHARD; beyond it
     # the coldest (depth, discovery_ts) runs spill to Parquet under
@@ -107,12 +110,13 @@ class CrawlConfig:
     # 'ray': the continuous pull executor; 'local': the single-process
     # epoch loop. epoch_budget and max_epochs bind only in 'local' —
     # the pull executor sizes each take wave by its pool's free depth.
+    # Both take one politeness window (epoch_seconds) per epoch or
+    # take wave.
     mode: str = "ray"                # 'ray' | 'local'
     fetch_concurrency: int = 8
-    # rows per worker call. The pull executor slices each take wave
-    # into chunks of max(192, min(fetch_batch_size, wave / free
-    # workers)) rows, so under 'ray' a chunk never holds fewer than
-    # 192 rows (unless the wave itself is smaller), whatever this says.
+    # max rows per worker call. The pull executor slices a small take
+    # wave finer, into ceil(wave / free workers) rows so every idle
+    # worker gets a piece, but never below min(192, this).
     fetch_batch_size: int = 2048
     # pull-executor dispatch tier (BASELINE.md "dispatch ceiling" scale
     # path #2): 0 = the driver dispatches every chunk itself (measured
@@ -122,7 +126,6 @@ class CrawlConfig:
     # its per-work-unit cost by the group factor.
     node_dispatchers: int = 0
     fetcher_cls: type | None = None  # X3 injection; None = TableFetcher
-    attenuate: bool = True
     # M5 crawl-scope filter (reference orgList, lib/crawlerFactory.js:62,
     # 633-641): when non-empty, DISCOVERED links are dropped unless
     # their host matches an entry exactly or is a subdomain of one.
@@ -146,9 +149,9 @@ class CrawlConfig:
     # T7/T8 robots half: ingest http://<host>/robots.txt pages from the
     # corpus at engine construction — Crawl-delay throttles the host's
     # politeness allowance, Disallow prefixes drop discovered links in
-    # the candidate path (never fetched). Both executors enforce the
-    # crawl-delay allowance per logical window (ray: inside the
-    # shards' take(), see FrontierShardState.configure_politeness).
+    # the candidate path (never fetched). The crawl-delay allowance
+    # binds per logical window inside the shards' take() (see
+    # FrontierShardState.configure_politeness).
     respect_robots: bool = False
     # T7/T8 multi-identity fetch pool (reference tokenFactory.js:6-29,
     # limitedTokenFactory.js:19-51; caps at lib/crawlerFactory.js:68-69):
@@ -159,10 +162,6 @@ class CrawlConfig:
     token_call_cap: int = 30
     token_call_window_sec: float = 1.0
     token_traits: dict = field(default_factory=dict)
-    # pin worker i to core i (bench path): prevents OS migrations from
-    # thrashing L1/L2 at high worker counts; driver/shards float on the
-    # process affinity mask and settle on the remaining cores
-    pin_workers: bool = False
     # reserve the first N cores for the driver + shard actors: workers
     # restrict their affinity to the remaining cores so frontier RPCs
     # are not starved by compute-bound workers. 0 = off.
@@ -435,7 +434,6 @@ class CrawlEngine:
         self.politeness = PolitenessPolicy(
             host_rate_per_sec=cfg.host_rate_per_sec,
             epoch_seconds=cfg.epoch_seconds,
-            defer_delay_sec=cfg.defer_delay_sec,
         )
         self.robots_rules: dict = {}
         if cfg.respect_robots:
@@ -472,7 +470,6 @@ class CrawlEngine:
             "crawler": RefreshingConfig(
                 {
                     "host_rate_per_sec": cfg.host_rate_per_sec,
-                    "defer_delay_sec": cfg.defer_delay_sec,
                     "epoch_budget": cfg.epoch_budget,
                 }
             ),
@@ -577,10 +574,7 @@ class CrawlEngine:
                 index,
                 self.shards,
                 docs_dir=self.docs_dir,
-                child_queue=cfg.child_queue,
-                attenuate=cfg.attenuate,
                 max_attempts=cfg.max_attempts,
-                retry_queue=cfg.retry_queue,
                 dead_dir=self.dead_dir,
                 fetcher_cls=cfg.fetcher_cls,
                 scope_hosts=cfg.scope_hosts,
@@ -652,11 +646,9 @@ class CrawlEngine:
         import ray
 
         cfg = self.cfg
-        pin = wi if cfg.pin_workers else None
         total = self._total_cpus
-        if pin is None and cfg.reserve_cores > 0 and (
-            total > cfg.reserve_cores + 1
-        ):
+        pin = ()
+        if cfg.reserve_cores > 0 and total > cfg.reserve_cores + 1:
             pin = tuple(range(cfg.reserve_cores, total))
         worker_cls = ray.remote(
             num_cpus=1,
@@ -670,10 +662,7 @@ class CrawlEngine:
             self.index_ref,
             self.shards,
             docs_dir=self.docs_dir,
-            child_queue=cfg.child_queue,
-            attenuate=cfg.attenuate,
             max_attempts=cfg.max_attempts,
-            retry_queue=cfg.retry_queue,
             dead_dir=self.dead_dir,
             fetcher_cls=cfg.fetcher_cls,
             scope_hosts=cfg.scope_hosts,
@@ -805,8 +794,8 @@ class CrawlEngine:
         return {sub: dict(c.values) for sub, c in self._live.items()}
 
     def _apply_config_patches(self) -> bool:
-        """Apply queued patches; returns True when any landed (the pull
-        executor re-syncs its shard-side politeness gate on change)."""
+        """Apply queued patches; returns True when any landed (both
+        executors then re-sync the shards' politeness gate)."""
         if not self._pending_patches:
             return False
         from ..state.liveconfig import collect_patches
@@ -820,21 +809,23 @@ class CrawlEngine:
         self._trace("config_patch", subsystems=sorted(grouped))
         return True
 
-    def _sync_pull_politeness(self) -> None:
+    def _sync_politeness(self) -> None:
         """Push the current politeness window config to the frontier
-        shards — the pull executor's gate runs inside each shard's
-        take() (FrontierShardState.configure_politeness). One pull
-        cycle == one logical window (start_refill advances clock_us by
-        epoch_us per cycle) and one cycle takes at most
-        fetch_batch_size x 4 x pool rows (the refill `want` cap), so an
-        allowance at or above that cap can never defer a row: the
+        shards, whose take() runs the gate for both executors
+        (FrontierShardState.configure_politeness). One local epoch or
+        one pull cycle is one logical window. An allowance at or above
+        the most rows one window can take can never defer a row, so the
         unbounded headline config pushes allowance=None and the shards
-        keep their gate-free take fast path."""
-        import ray
-
+        keep their gate-free take fast path. That cap is
+        fetch_batch_size x 4 x pool under 'ray' (the refill `want`
+        cap); under 'local' it is epoch_budget plus one row per queue
+        and per (queue, shard), which _quotas' rounding up can add."""
         pol = self.politeness
-        epoch_us = int(self.cfg.epoch_seconds * 1e6)
-        cap = self.cfg.fetch_batch_size * 4 * max(1, len(self.workers))
+        cfg = self.cfg
+        if cfg.mode == "ray":
+            cap = cfg.fetch_batch_size * 4 * max(1, len(self.workers))
+        else:
+            cap = cfg.epoch_budget + len(QUEUES) * (cfg.num_shards + 1)
         base = max(1, int(pol.host_rate_per_sec * pol.epoch_seconds))
         overrides = {
             h: pol.allowance(h)
@@ -842,16 +833,29 @@ class CrawlEngine:
             if r.crawl_delay
         }
         bounded = base < cap or any(v < cap for v in overrides.values())
-        ray.get(
-            [
-                s.configure_politeness.remote(
-                    epoch_us=epoch_us,
-                    allowance=base if bounded else None,
-                    overrides=overrides if bounded else None,
-                )
-                for s in self.shards
-            ]
+        self._call(
+            "configure_politeness",
+            epoch_us=int(cfg.epoch_seconds * 1e6),
+            allowance=base if bounded else None,
+            overrides=overrides if bounded else None,
         )
+
+    def _push_benched(self, now_us: int) -> None:
+        """T6: push the benched hosts (expired entries dropped) to the
+        shards, whose take()-side gate defers their rows until
+        bench_until. Benching binds from the next take. Fire-and-forget
+        under 'ray', settled with the other routing RPCs."""
+        self._benched_hosts = {
+            h: u for h, u in self._benched_hosts.items() if u > now_us
+        }
+        if self.cfg.mode == "ray":
+            self._route_refs.extend(
+                s.set_benched.remote(self._benched_hosts)
+                for s in self.shards
+            )
+        else:
+            for s in self.shards:
+                s.set_benched(self._benched_hosts)
 
     def load_etag_index(self, docs: pa.Table) -> None:
         """Install a prior run's (url_hash, etag) map for conditional
@@ -892,7 +896,6 @@ class CrawlEngine:
         self.politeness.host_rate_per_sec = float(
             vals["host_rate_per_sec"]
         )
-        self.politeness.defer_delay_sec = float(vals["defer_delay_sec"])
         self.cfg.epoch_budget = int(vals["epoch_budget"])
 
     def _on_fetcher_change(self, patches: list[dict]) -> None:
@@ -918,18 +921,18 @@ class CrawlEngine:
 
     # -- shard RPC helpers (transparent local/ray) -------------------------
 
-    def _call(self, method: str, *args):
+    def _call(self, method: str, *args, **kw):
         if self.cfg.mode == "ray":
             import ray
 
             return ray.get(
-                [getattr(s, method).remote(*args) for s in self.shards]
+                [getattr(s, method).remote(*args, **kw) for s in self.shards]
             )
-        return [getattr(s, method)(*args) for s in self.shards]
+        return [getattr(s, method)(*args, **kw) for s in self.shards]
 
     def _route(self, rows: pa.Table, method: str) -> int:
-        """Driver-side routing for small row sets (seeds, retries,
-        deferrals); bulk candidate routing happens inside the
+        """Driver-side routing for small row sets (seeds, resume
+        replay); bulk candidate routing happens inside the
         distributed stage. Uses the same vectorized splitter as the
         workers (single-owner invariant); shard actors get each part
         as a ``wire.dump`` buffer, as from the workers."""
@@ -1069,20 +1072,21 @@ class CrawlEngine:
                  "deadlettered": 0}
         if pending == 0:
             return stats
+        # the shards' take() defers over-allowance and benched hosts
+        # (see _sync_politeness); their defer counter is the only ledger
+        defer0 = sum(s.metrics["defer"] for s in self.shards)
         takes = [s.take(q, now_us) for s, q in zip(self.shards, per_shard)]
+        stats["deferred"] = (
+            sum(s.metrics["defer"] for s in self.shards) - defer0
+        )
         taken = [t for t in takes if t.num_rows]
         if not taken:
             return stats  # everything deferred; caller advances the clock
         epoch_table = pa.concat_tables(taken)
-        # priority sort matters when the epoch is budget-limited (which
-        # rows go first) or politeness may defer (who wins the host
-        # allowance); when the whole frontier fits and allowances are
-        # effectively unlimited, skip the O(n log n) driver sort
-        politeness_active = (
-            self.politeness.host_rate_per_sec * self.politeness.epoch_seconds
-            < epoch_table.num_rows
-        )
-        if epoch_table.num_rows < pending or politeness_active:
+        # priority sort matters only when the epoch is budget-limited
+        # (which rows go first); when the whole frontier fits, skip the
+        # O(n log n) driver sort
+        if epoch_table.num_rows < pending:
             order = pc.sort_indices(
                 epoch_table,
                 sort_keys=[
@@ -1094,70 +1098,11 @@ class CrawlEngine:
             epoch_table = epoch_table.take(order)
         stats["taken"] = epoch_table.num_rows
 
-        # T6 compute-limiter bench: rows of a host whose budget was
-        # exhausted last epoch defer until its bench_until timestamp
-        # (reference exhaust(resetTime), computeLimiter.js:63-66).
-        if self._benched_hosts:
-            self._benched_hosts = {
-                h: u for h, u in self._benched_hosts.items() if u > now_us
-            }
-        if self._benched_hosts:
-            hosts_l = epoch_table.column("url_host").to_pylist()
-            bmask = np.array(
-                [h in self._benched_hosts for h in hosts_l], dtype=bool
-            )
-            if bmask.any():
-                benched = epoch_table.filter(pa.array(bmask))
-                nb = pa.array(
-                    [
-                        self._benched_hosts[h]
-                        for h, m in zip(hosts_l, bmask)
-                        if m
-                    ],
-                    pa.int64(),
-                )
-                benched = benched.set_column(
-                    FRONTIER_SCHEMA.names.index("not_before"),
-                    "not_before",
-                    nb,
-                )
-                self._route(benched, "requeue")
-                stats["deferred"] += benched.num_rows
-                epoch_table = epoch_table.filter(pa.array(~bmask))
-                if epoch_table.num_rows == 0:
-                    return stats
-
-        # politeness gate: at most rate × window rows per host per epoch.
-        # Fast path: when no robots rule throttles a host and the global
-        # allowance exceeds the epoch size, no host CAN be deferred —
-        # skip the per-host ordinal computation entirely.
-        gate_unbounded = (
-            not self.politeness.robots
-            and self.politeness.host_rate_per_sec
-            * self.politeness.epoch_seconds
-            >= epoch_table.num_rows
-        )
-        if gate_unbounded:
-            admit = np.ones(epoch_table.num_rows, dtype=bool)
-        else:
-            hosts = np.asarray(
-                epoch_table.column("url_host").to_pylist(), dtype=object
-            )
-            admit = self.politeness.admit_mask(hosts)
-        if not admit.all():
-            deferred = epoch_table.filter(pa.array(~admit))
-            nb = now_us + int(self.cfg.defer_delay_sec * 1e6)
-            deferred = deferred.set_column(
-                FRONTIER_SCHEMA.names.index("not_before"),
-                "not_before",
-                pa.array([nb] * deferred.num_rows, pa.int64()),
-            )
-            self._route(deferred, "requeue")
-            stats["deferred"] = deferred.num_rows
-            epoch_table = epoch_table.filter(pa.array(admit))
-
         batches = self._process(epoch_table, epoch, now_us)
-        stats.update(self._absorb(batches, now_us)[0])
+        got, benched = self._absorb(batches, now_us)
+        stats.update(got)
+        if benched:
+            self._push_benched(now_us)
         return stats
 
     # -- run loop ----------------------------------------------------------
@@ -1187,6 +1132,7 @@ class CrawlEngine:
             "crawl_start", executor="epochs",
             seeds=len(seeds or []), start_epoch=start_epoch,
         )
+        self._sync_politeness()
         if seeds:
             self.seed(seeds)
         epoch = start_epoch
@@ -1194,7 +1140,8 @@ class CrawlEngine:
         clock_us = cfg.base_ts_us + epoch * epoch_us
         processed = 0
         while epoch < cfg.max_epochs:
-            self._apply_config_patches()  # T11/X5: cycle-boundary patch
+            if self._apply_config_patches():  # T11/X5: epoch boundary
+                self._sync_politeness()
             stats = self._epoch(epoch, clock_us)
             for cb in self._epoch_callbacks:
                 cb(self, epoch, stats)
@@ -1210,23 +1157,23 @@ class CrawlEngine:
                 epoch += 1
                 continue
             self._record_epoch(epoch, stats)
-            processed += stats["taken"] - stats["deferred"]
+            processed += stats["taken"]
             epoch += 1
             clock_us += epoch_us
             self._write_manifest(epoch - 1, completed=False)
             if max_urls is not None and processed >= max_urls:
                 break
-        return self._finish(epoch, ("spilled", "unspilled", "bounce"),
-                            epochs=epoch)
+        return self._finish(epoch, epochs=epoch)
 
-    def _finish(self, label: int, shard_counters: tuple, **stop):
-        """Close a crawl: the shards' cumulative counters (incl. spill
-        round-trips) as final metric rows — the shards' own ledger, not
-        the driver's — then metrics, lineage, trace, the seen-set
-        digest and the completed manifest."""
+    def _finish(self, label: int, **stop):
+        """Close a crawl: the shards' cumulative counters (spill
+        round-trips, bounces, politeness deferrals) as final metric
+        rows — the shards' own ledger, not the driver's — then metrics,
+        lineage, trace, the seen-set digest and the completed
+        manifest."""
         import hashlib
 
-        for name in shard_counters:
+        for name in ("spilled", "unspilled", "bounce", "defer"):
             total = sum(
                 m.get(name, 0)
                 for m in getattr(self, "_last_shard_metrics", [])
@@ -1301,7 +1248,7 @@ class CrawlEngine:
             seeds=len(seeds or []), start_cycle=start_cycle,
         )
         self._apply_config_patches()  # patches queued before run()
-        self._sync_pull_politeness()
+        self._sync_politeness()
         if seeds:
             self._seed_parallel(seeds)
         _tm["seed"] = _time.perf_counter() - _t
@@ -1480,7 +1427,7 @@ class CrawlEngine:
                 del pool[want:], last_pids[want:], outstanding[want:]
             if aligned:
                 align_workers()
-            self._sync_pull_politeness()  # its cap scales with the pool
+            self._sync_politeness()  # its cap scales with the pool
 
         def totals() -> dict:
             return dict(self._totals, taken=processed)
@@ -1637,8 +1584,10 @@ class CrawlEngine:
                     len(pool),
                     sum(1 for o in outstanding if o < depth_cap),
                 )
+            # A slice holds at most fetch_batch_size rows and, unless
+            # the wave is smaller, at least min(192, fetch_batch_size).
             eff_chunk = max(
-                192, min(chunk, math.ceil(wave / max(1, free)))
+                min(192, chunk), min(chunk, math.ceil(wave / max(1, free)))
             )
             took = 0
             for sid, ((_, table_ref), m) in enumerate(zip(refs, metas)):
@@ -1666,20 +1615,7 @@ class CrawlEngine:
             if tiers:
                 results = [b for lease in results for b in lease]
             if self._absorb(results, clock_us)[1]:
-                # T6: newly-benched hosts push to the shards, whose
-                # take()-side gate defers their rows until bench_until
-                # (fire-and-forget — benching binds from the next take
-                # wave, the same next-window semantics the epoch loop
-                # has)
-                self._benched_hosts = {
-                    h: u
-                    for h, u in self._benched_hosts.items()
-                    if u > clock_us
-                }
-                self._route_refs.extend(
-                    s.set_benched.remote(self._benched_hosts)
-                    for s in self.shards
-                )
+                self._push_benched(clock_us)
 
         while True:
             # refill only when the queue is genuinely low — counts/take
@@ -1698,7 +1634,7 @@ class CrawlEngine:
                 # shard-side politeness gate so rate changes bind from
                 # the next window
                 if self._apply_config_patches():
-                    self._sync_pull_politeness()
+                    self._sync_politeness()
                 _t = _time.perf_counter()
                 start_refill()
                 _tm["refill"] += _time.perf_counter() - _t
@@ -1832,10 +1768,7 @@ class CrawlEngine:
             self._route_refs.clear()
         lineage_flush()  # drains inflight + workers itself
         self._record_stats(cycle, totals())
-        # the shard-side politeness gate's deferrals are shard counters
-        result = self._finish(
-            cycle, ("spilled", "unspilled", "bounce", "defer"), cycles=cycle
-        )
+        result = self._finish(cycle, cycles=cycle)
         for d in tiers:  # per-run actors; workers/shards outlive them
             try:
                 ray.kill(d, no_restart=True)
@@ -1875,14 +1808,13 @@ class CrawlEngine:
 
     def _record_stats(self, label: int, stats: dict) -> None:
         """Counter rows under the reference's metric names; the pull
-        executor records its run totals once, without ``deferred``
-        (its deferrals are shard counters, see _finish)."""
+        executor records its run totals once. Deferrals are shard
+        counters (see _finish)."""
         for key, metric in (
             ("taken", "fetch"),
             ("docs", "done"),
             ("failed", "abandon"),
             ("admitted", "push"),
-            ("deferred", "defer"),
             ("offered", "offered"),
             ("unchanged", "unchanged"),
             ("deadlettered", "deadletter"),
@@ -1992,7 +1924,7 @@ def resume_crawl(corpus: pa.Table, cfg: CrawlConfig) -> CrawlResult:
     # row) while still extracting and offering their children, which
     # bounce off the seen filter when already processed. Deviations on
     # the suspect window only (bounded by the flush cadence): queue
-    # resets to child_queue, traversal policy to 'default', and
+    # resets to CHILD_QUEUE, traversal policy to 'default', and
     # collection-page URNs lose their parent chain (page corpora derive
     # urns from the url, so only entity crawls notice).
     last_epoch = int(manifest["last_epoch"])
@@ -2057,7 +1989,7 @@ def resume_crawl(corpus: pa.Table, cfg: CrawlConfig) -> CrawlResult:
                 "url": u,
                 "type": t,
                 "depth": d,
-                "queue": cfg.child_queue,
+                "queue": CHILD_QUEUE,
                 "payload_etag": e or "",
                 "payload_body": "" if inc else (b or ""),
             }

@@ -14,6 +14,8 @@ import pyarrow as pa
 QUEUES = ("events", "immediate", "soon", "normal", "later")
 # weighted pop order, reference lib/crawlerFactory.js:80
 QUEUE_WEIGHTS = {"events": 10, "immediate": 3, "soon": 2, "normal": 3, "later": 2}
+CHILD_QUEUE = "normal"      # discovered links
+RETRY_QUEUE = "immediate"   # failed fetches (reference _retryQueue)
 
 FRONTIER_SCHEMA = pa.schema(
     [

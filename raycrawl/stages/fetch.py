@@ -53,7 +53,12 @@ import pyarrow.parquet as pq
 
 from .. import wire
 from ..functions.urlnorm import canonicalize_batch
-from ..schemas import DOCUMENT_SCHEMA, FRONTIER_SCHEMA
+from ..schemas import (
+    CHILD_QUEUE,
+    DOCUMENT_SCHEMA,
+    FRONTIER_SCHEMA,
+    RETRY_QUEUE,
+)
 from .extract import extract_page
 from .visitor import visit
 
@@ -242,12 +247,9 @@ class CrawlWorkerStage:
         shards,
         *,
         docs_dir: str | None,
-        child_queue: str = "normal",
         epoch: int = 0,
         now_us: int = 0,
-        attenuate: bool = True,
         max_attempts: int = 0,
-        retry_queue: str = "immediate",
         dead_dir: str | None = None,
         fetcher_cls: type | None = None,
         scope_hosts: tuple[str, ...] = (),
@@ -255,25 +257,22 @@ class CrawlWorkerStage:
         track_host_cost: bool = False,
         compute_bytes_per_ms: float = 1000.0,
         range_route: bool = False,
-        pin_cpu: int | None = None,
+        pin_cpu: tuple = (),
         token_specs=None,
         token_call_cap: int = 30,
         token_call_window_sec: float = 1.0,
         token_traits: dict | None = None,
         token_seed: int = 0,
     ) -> None:
-        if pin_cpu is not None:
-            # int: pin this actor to one core. tuple: restrict to a
-            # core SET (the engine's reserve_cores policy — workers
-            # vacate the first cores so the shard actors + driver get
-            # dedicated CPU instead of competing with 30 compute-bound
-            # workers for timeslices; shard RPC latency under load was
-            # measured at ~10 ms when starved).
+        if pin_cpu:
+            # restrict this actor to a core SET (the engine's
+            # reserve_cores policy — workers vacate the first cores so
+            # the shard actors + driver get dedicated CPU instead of
+            # competing with 30 compute-bound workers for timeslices;
+            # shard RPC latency under load was measured at ~10 ms when
+            # starved).
             try:
-                cores = (
-                    {pin_cpu} if isinstance(pin_cpu, int) else set(pin_cpu)
-                )
-                os.sched_setaffinity(0, cores)
+                os.sched_setaffinity(0, set(pin_cpu))
             except (AttributeError, OSError):  # pragma: no cover
                 pass
         try:
@@ -325,10 +324,8 @@ class CrawlWorkerStage:
         self.docs_dir = docs_dir
         self._write_salt = os.urandom(8)  # unique doc part names per run
         self._doc_seq = 0
-        self.child_queue = child_queue
         self.epoch = epoch
         self.now_us = now_us
-        self.attenuate = attenuate
         # the retry ledger: failures are requeued / deadlettered INSIDE
         # the stage — at 32 CPUs a driver-side failure round trip
         # (~300k returned rows over a crawl) was a measured scaling
@@ -336,7 +333,6 @@ class CrawlWorkerStage:
         # funnel through one process anyway. max_attempts <= 1
         # deadletters every failure on its first attempt.
         self.max_attempts = max_attempts
-        self.retry_queue = retry_queue
         self.dead_dir = dead_dir
         # M5 crawl-scope filter (reference orgList,
         # lib/crawlerFactory.js:62,633-641): discovered links outside
@@ -638,7 +634,7 @@ class CrawlWorkerStage:
                 names.index("queue"),
                 "queue",
                 pa.array(
-                    [self.retry_queue] * retriable.num_rows, pa.string()
+                    [RETRY_QUEUE] * retriable.num_rows, pa.string()
                 ),
             ).select(names)
             for sid, sub in self._shard_split(retriable):
@@ -753,17 +749,15 @@ class CrawlWorkerStage:
         # rate falling as 1/pool; the suppressor set stores only the
         # RAW string it already holds a reference to.)
         in_scope = self._in_scope
-        if self.attenuate:  # in/cross-batch pre-dedup (attenuation, D1)
-            if len(self._offered_seen) > self.OFFERED_SEEN_CAP:
-                self._offered_seen.clear()
-            seen = self._offered_seen
-            keep = [
-                i
-                for i, c in enumerate(children)
-                if c[1] not in seen and not seen.add(c[1])
-            ]
-        else:
-            keep = list(range(len(children)))
+        # in/cross-batch pre-dedup (attenuation, D1)
+        if len(self._offered_seen) > self.OFFERED_SEEN_CAP:
+            self._offered_seen.clear()
+        seen = self._offered_seen
+        keep = [
+            i
+            for i, c in enumerate(children)
+            if c[1] not in seen and not seen.add(c[1])
+        ]
         norm, digests, hosts = canonicalize_batch(
             [children[i][1] for i in keep]
         )
@@ -808,7 +802,7 @@ class CrawlWorkerStage:
                 pa.array(hosts, pa.string()),
                 pa.array([children[i][0] for i in keep], pa.string()),
                 pa.array([children[i][5] for i in keep], pa.string()),
-                pa.array([self.child_queue] * n, pa.string()),
+                pa.array([CHILD_QUEUE] * n, pa.string()),
                 pa.array([depths[children[i][4]] + 1 for i in keep], pa.int32()),
                 pa.array([self.now_us] * n, pa.int64()),
                 pa.array([0] * n, pa.int32()),
@@ -965,7 +959,7 @@ class CrawlWorkerStage:
                 result = visit(
                     types[i], urls[i], body,
                     parent_urn=parent_urns[i], relation=relations[i],
-                    child_queue=self.child_queue,
+                    child_queue=CHILD_QUEUE,
                 )
                 urn = result.urn
                 doc_text, doc_body = result.text, result.body

@@ -94,11 +94,10 @@ class FrontierShardState:
         # [(hotness key, path, per-queue counts, min_not_before)]
         self._spill_files: list[tuple[tuple, str, dict[str, int], int]] = []
         self._spilled_counts: dict[str, int] = {q: 0 for q in QUEUES}
-        # -- shard-side politeness gate (pull executor) --------------------
-        # The local epoch loop gates politeness on the driver AFTER
-        # take; the continuous pull executor instead gates INSIDE each
-        # shard's take (see configure_politeness), so no driver barrier
-        # is needed and the window semantics stay exact.
+        # -- politeness gate -----------------------------------------------
+        # Both executors gate per-host politeness and T6 benching INSIDE
+        # each shard's take (see configure_politeness / set_benched), so
+        # no driver pass is needed and the window semantics stay exact.
         self._pol: dict | None = None
         self._pol_window = -1
         self._pol_used: dict[str, int] = {}
@@ -398,7 +397,7 @@ class FrontierShardState:
         mask = self.seen.add_if_absent(digests)
         return int(mask.sum())
 
-    # -- shard-side politeness (pull executor) -----------------------------
+    # -- politeness ---------------------------------------------------------
 
     def configure_politeness(
         self,
@@ -413,9 +412,9 @@ class FrontierShardState:
         next window start). ``allowance``/``overrides`` are GLOBAL
         per-window per-host budgets (overrides: robots crawl-delay
         hosts); each shard takes its deterministic share (see _share),
-        so the S shards admit AT MOST the global allowance per window —
-        the same window semantics the local epoch loop enforces on the
-        driver, with no barrier. Frontier rows hash-shard by url_hash,
+        so the S shards admit AT MOST the global allowance per window.
+        The engine takes once per window in both executors (one local
+        epoch, one pull take wave). Frontier rows hash-shard by url_hash,
         so a host's rows spread ~uniformly over shards and each
         shard's share is actually consumable. ``allowance=None``
         disables the gate (the unbounded headline config keeps the
@@ -432,8 +431,8 @@ class FrontierShardState:
         self._pol_used = {}
 
     def set_benched(self, benched: dict[str, int]) -> None:
-        """T6 compute-limiter benching, pushed by the pull driver: rows
-        of a benched host defer until its bench_until timestamp."""
+        """T6 compute-limiter benching, pushed by the engine: rows of a
+        benched host defer until its bench_until timestamp."""
         self._benched = dict(benched)
 
     def _share(self, allowance: int, window: int) -> int:
@@ -532,7 +531,9 @@ class FrontierShardState:
                 best = min_nb
         return best
 
-    def take(self, quotas: dict[str, int], now_us: int) -> pa.Table:
+    def take(
+        self, quotas: dict[str, int], now_us: int, gate: bool = True
+    ) -> pa.Table:
         """Pop up to quotas[q] eligible rows (not_before <= now) per
         queue in priority order (depth, discovery_ts, seq); ineligible
         rows are retained. Exact top-q via the run invariant: the
@@ -540,7 +541,11 @@ class FrontierShardState:
         so only O(runs x quota) key rows are merged per take — the
         whole pending set is never re-sorted. The slow exact path runs
         only when some pending row is deferred into the future.
-        In-process only: remote callers take through ``take_split``."""
+        ``gate=False`` skips the politeness gate: operator takes
+        (api.peek/pop) read the queue as stored, like the reference's
+        routes/requests.js, and must not spend or defer a crawl
+        window's allowance. In-process only: remote callers take
+        through ``take_split``."""
         out: list[pa.Table] = []
         for queue, quota in quotas.items():
             if quota <= 0:
@@ -585,7 +590,7 @@ class FrontierShardState:
                 if all_eligible
                 else self._take_exact(queue, quota, now_us)
             )
-            if taken.num_rows and (
+            if taken.num_rows and gate and (
                 self._pol is not None or self._benched
             ):
                 taken = self._politeness_gate(taken, now_us)
@@ -664,7 +669,7 @@ class FrontierShardState:
         return taken
 
     def take_split(
-        self, quotas: dict[str, int], now_us: int
+        self, quotas: dict[str, int], now_us: int, gate: bool = True
     ) -> tuple[dict[str, Any], pa.Buffer]:
         """take() plus post-take pending counts in ONE round trip, as a
         (meta, ``wire.dump(table)``) pair for
@@ -676,7 +681,7 @@ class FrontierShardState:
         deserializing each take wave (tens of MB at full width) on the
         driver was a measured scaling bottleneck at 32 CPUs."""
         t = (
-            self.take(quotas, now_us)
+            self.take(quotas, now_us, gate)
             if quotas
             else FRONTIER_SCHEMA.empty_table()
         )

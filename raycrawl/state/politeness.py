@@ -2,11 +2,13 @@
 
 Maps the reference's limiter stack onto per-host budgets:
 - fixed-window rate counters (/root/reference/providers/limiting/
-  inmemoryRateLimiter.js:17-36) -> per-epoch allowance = rate x window
+  inmemoryRateLimiter.js:17-36) -> per-window allowance = rate x window,
+  enforced inside the frontier shards' take() (FrontierShardState.
+  configure_politeness), which defers overflow rows to the next window
+  start via `not_before` (reference lib/crawlerFactory.js:74)
 - token benching with `benchUntil` (/root/reference/providers/fetcher/
-  tokenFactory.js:74-86) -> per-host cooldown carried as `not_before`
-  deferral on frontier rows (deferDelay analogue,
-  /root/reference/lib/crawlerFactory.js:74)
+  tokenFactory.js:74-86) -> ComputeBudget bench-until times, pushed to
+  the shards (FrontierShardState.set_benched)
 - robots.txt: RFC 9309 semantics — Allow/Disallow rules with
   longest-match precedence (most-octets rule wins, Allow wins ties),
   `*` wildcards and `$` end anchors, group selection where a matching
@@ -161,11 +163,11 @@ def parse_robots(text: str, agent: str = "*") -> RobotsRules:
 
 @dataclass
 class PolitenessPolicy:
-    """Per-epoch allowance computation over a batch of frontier rows."""
+    """Per-host, per-window allowances: the rate, lowered by a robots
+    Crawl-delay. The engine pushes them to the frontier shards."""
 
     host_rate_per_sec: float = 10.0
     epoch_seconds: float = 1.0
-    defer_delay_sec: float = 0.5
     robots: dict[str, RobotsRules] = field(default_factory=dict)
 
     def allowance(self, host: str) -> int:
@@ -174,28 +176,6 @@ class PolitenessPolicy:
         if rules and rules.crawl_delay:
             rate = min(rate, 1.0 / rules.crawl_delay)
         return max(1, int(rate * self.epoch_seconds))
-
-    def admit_mask(self, hosts: np.ndarray) -> np.ndarray:
-        """Bool mask admitting at most `allowance(host)` rows per host,
-        in row order (rows are already priority-sorted). Vectorized:
-        cumulative per-host ordinal < allowance."""
-        n = len(hosts)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        uniq, inv = np.unique(hosts, return_inverse=True)
-        # ordinal of each row within its host, in row order
-        ordinal = np.zeros(n, dtype=np.int64)
-        counts = np.zeros(len(uniq), dtype=np.int64)
-        order = np.argsort(inv, kind="stable")
-        sorted_inv = inv[order]
-        # positions within equal-inv runs
-        run_start = np.r_[0, np.flatnonzero(np.diff(sorted_inv)) + 1]
-        run_ordinals = np.arange(n) - np.repeat(
-            run_start, np.diff(np.r_[run_start, n])
-        )
-        ordinal[order] = run_ordinals
-        allowances = np.array([self.allowance(str(h)) for h in uniq])
-        return ordinal < allowances[inv]
 
 
 @dataclass

@@ -44,6 +44,21 @@ def test_peek_across_shards_requeues_every_taken_row(tmp_path):
     assert api.queue_depths(engine)["normal"] == 8  # nothing dropped
 
 
+def test_peek_skips_the_politeness_gate(tmp_path):
+    # operator takes read the queue as stored: after a crawl under a
+    # binding rate, peek neither caps at the host allowance nor defers
+    # the rows it puts back
+    _, engine = _engine(tmp_path, host_rate_per_sec=1)
+    engine.run(seeds=default_seeds(2), max_urls=5)
+    pending = api.queue_depths(engine)["normal"]
+    assert pending > 4  # more than one window's allowance per host
+    defers = sum(s.metrics["defer"] for s in engine.shards)
+    wake = engine._call("min_not_before")
+    assert api.peek(engine, "normal", 100).num_rows == pending
+    assert sum(s.metrics["defer"] for s in engine.shards) == defers
+    assert engine._call("min_not_before") == wake
+
+
 def test_pop_consumes_in_priority_order(tmp_path):
     _, engine = _engine(tmp_path)
     engine.seed(default_seeds(2))

@@ -949,9 +949,11 @@ def test_worker_death_replays_inflight_ranges(
             return super().lookup(digests)
 
     # 2 workers in every case (the tier case = 2 dispatchers x 1-worker
-    # groups): the crawl yields only ~6 dispatch chunks, so a wider pool
-    # can finish before ANY worker reaches the kamikaze's 3rd batch and
-    # the mid-crawl death never happens (observed flaky at 4 workers)
+    # groups): the crawl yields ~30 dispatch chunks of at most 16 rows
+    # (most BFS waves are smaller than that), so a wider pool spreads
+    # them thinner and can finish before ANY worker reaches the
+    # kamikaze's 3rd batch, and the mid-crawl death never happens
+    # (observed flaky at 4 workers)
     cfg = CrawlConfig(
         state_dir=str(tmp_path / f"state-{tiers}"),
         mode="ray",
@@ -1176,26 +1178,84 @@ def test_pull_politeness_with_spill_same_result(corpus, oracle, tmp_path, ray_se
     assert mets.get("spilled", 0) > 0  # the cap actually forced spill
 
 
-def test_pull_binding_politeness_same_result(corpus, oracle, tmp_path, ray_session):
-    """A binding per-host rate limit under the pull executor: the gate
-    runs INSIDE each shard's take() (one pull cycle == one logical
-    window, each shard admits its rotating share of the global per-host
-    allowance), so the windows stay exact with no driver barrier. The
-    crawl converges to the exact BFS oracle and actually deferred work."""
+def _over_allowance(engine, result):
+    """(host, processed_at window) -> documents, for every window in
+    which a host got more documents than its politeness allowance."""
+    epoch_us = int(engine.cfg.epoch_seconds * 1e6)
+    docs = result.documents_table()
+    per_window: dict = {}
+    for url, ts in zip(
+        docs.column("url").to_pylist(),
+        docs.column("processed_at").to_pylist(),
+    ):
+        key = (url.split("://")[1].split("/")[0], ts // epoch_us)
+        per_window[key] = per_window.get(key, 0) + 1
+    return {
+        key: n
+        for key, n in per_window.items()
+        if n > engine.politeness.allowance(key[0])
+    }
+
+
+@pytest.mark.parametrize("mode", ["local", "ray"])
+def test_pull_binding_politeness_same_result(
+    corpus, oracle, tmp_path, ray_session, mode
+):
+    """A binding per-host rate limit under both executors: the gate runs
+    INSIDE each shard's take() (one local epoch or one pull cycle == one
+    logical window, each shard admits its rotating share of the global
+    per-host allowance), so the windows stay exact with no driver pass.
+    The crawl converges to the exact BFS oracle, actually deferred work,
+    and no host's documents in any one ``processed_at`` window exceed
+    its allowance."""
     cfg = CrawlConfig(
         state_dir=str(tmp_path / "state"),
-        mode="ray",
+        mode=mode,
         num_shards=3,
         host_rate_per_sec=5,   # binding budget
         fetch_concurrency=2,
         fetch_batch_size=16,
     )
-    result = CrawlEngine(corpus, cfg).run(seeds=default_seeds(2))
+    engine = CrawlEngine(corpus, cfg)
+    result = engine.run(seeds=default_seeds(2))
     _check_against_oracle(corpus, result, oracle)
     defer = sum(
         m["value"] for m in result.metrics.to_pylist() if m["name"] == "defer"
     )
     assert defer > 0  # throttling actually deferred work
+    over = _over_allowance(engine, result)
+    assert not over, over
+    engine.close()
+
+
+def test_pull_chunks_respect_small_fetch_batch_size(
+    corpus, oracle, tmp_path, ray_session
+):
+    """fetch_batch_size caps every pull dispatch chunk, also below the
+    executor's 192-row slicing floor: each fetcher lookup (one per
+    chunk) sees at most 16 url hashes, and the crawl still matches the
+    BFS oracle."""
+    from raycrawl.stages.fetch import TableFetcher
+
+    class SmallBatchFetcher(TableFetcher):
+        def lookup(self, digests):
+            assert len(digests) <= 16, len(digests)
+            return super().lookup(digests)
+
+    cfg = CrawlConfig(
+        state_dir=str(tmp_path / "state"),
+        mode="ray",
+        num_shards=3,
+        fetch_concurrency=2,
+        fetch_batch_size=16,
+        fetcher_cls=SmallBatchFetcher,
+    )
+    engine = CrawlEngine(corpus, cfg)
+    try:
+        result = engine.run(seeds=default_seeds(2))
+        _check_against_oracle(corpus, result, oracle)
+    finally:
+        engine.close()
 
 
 def test_frontier_spill_same_result(corpus, oracle, tmp_path):
@@ -1321,20 +1381,7 @@ def test_robots_ingestion_disallow_and_crawl_delay(
     )
     assert defer > 0
     # per-window politeness: documents per (host, processed_at window)
-    docs = result.documents_table()
-    epoch_us = int(cfg.epoch_seconds * 1e6)
-    per_window: dict = {}
-    for url, ts in zip(
-        docs.column("url").to_pylist(),
-        docs.column("processed_at").to_pylist(),
-    ):
-        key = (url.split("://")[1].split("/")[0], ts // epoch_us)
-        per_window[key] = per_window.get(key, 0) + 1
-    over = {
-        key: n
-        for key, n in per_window.items()
-        if n > engine.politeness.allowance(key[0])
-    }
+    over = _over_allowance(engine, result)
     assert not over, over
 
 

@@ -1,4 +1,3 @@
-import numpy as np
 import pyarrow as pa
 import pytest
 
@@ -161,13 +160,6 @@ def test_shard_benched_host_defers():
     assert s.take({"normal": 10}, now_us=1_000_000).num_rows == 0
     late = s.take({"normal": 10}, now_us=6_000_000)
     assert late.column("url").to_pylist() == ["http://a.com/x"]
-
-
-def test_politeness_admit_mask():
-    p = PolitenessPolicy(host_rate_per_sec=2, epoch_seconds=1.0)
-    hosts = np.array(["a", "a", "a", "b", "a", "b", "b"], dtype=object)
-    mask = p.admit_mask(hosts)
-    assert list(mask) == [True, True, False, True, False, True, False]
 
 
 def test_robots_parse():

@@ -288,10 +288,10 @@ def test_live_patch_lands_in_pull_mode(corpus, oracle, tmp_path, ray_session):
         fetch_concurrency=2,
     )
     engine = CrawlEngine(corpus, cfg)
-    engine.patch_config({"crawler": {"defer_delay_sec": 2.5}})
+    engine.patch_config({"crawler": {"host_rate_per_sec": 2.5e8}})
     result = engine.run(seeds=default_seeds(2))
-    assert engine.config_snapshot()["crawler"]["defer_delay_sec"] == 2.5
-    assert engine.politeness.defer_delay_sec == 2.5
+    assert engine.config_snapshot()["crawler"]["host_rate_per_sec"] == 2.5e8
+    assert engine.politeness.host_rate_per_sec == 2.5e8
     _check_against_oracle(corpus, result, oracle)
     engine.close()
 
