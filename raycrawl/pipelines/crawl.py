@@ -546,11 +546,12 @@ class CrawlEngine:
             # applied by the pull loop at its next checkpoint
             self._pool_target = len(self.workers)
             # Block until every shard and worker has finished its
-            # __init__ (workers resolve the corpus ref there). Spawning
-            # 30+ actor processes costs seconds of interpreter startup;
-            # paying it at construction keeps cold-start out of the
-            # crawl itself — on a real cluster this is pool
-            # provisioning, like ray.init.
+            # __init__ (a whole-table corpus ref resolves there, and
+            # each actor finishes pyarrow's lazy pandas import,
+            # wire.warm). Spawning 30+ actor processes costs seconds of
+            # interpreter startup; paying it at construction keeps
+            # cold-start out of the crawl itself — on a real cluster
+            # this is pool provisioning, like ray.init.
             ray.get(
                 [s.counts.remote() for s in self.shards]
                 + [w.ping.remote() for w in self.workers]
@@ -1952,11 +1953,12 @@ def resume_crawl(corpus: pa.Table, cfg: CrawlConfig) -> CrawlResult:
         holder = _route_holder(cfg)
         refs = []
         for sid, sub in splitter(holder, processed):
-            digests = sub.column("url_hash").to_pylist()
             if cfg.mode == "ray":
-                refs.append(engine.shards[sid].mark_seen.remote(digests))
+                refs.append(engine.shards[sid].mark_seen.remote(
+                    wire.dump(sub.select(["url_hash"]))
+                ))
             else:
-                engine.shards[sid].mark_seen(digests)
+                engine.shards[sid].mark_seen(sub.column("url_hash"))
         if refs:
             import ray
 

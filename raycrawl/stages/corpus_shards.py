@@ -177,25 +177,33 @@ def _split_table(piece: pa.Table, bits: int) -> list[pa.Table]:
     ]
 
 
-def _split_source(piece, bits: int) -> list[pa.Table]:
-    if isinstance(piece, str):  # parquet file path: read inside the task
+def _split_source(piece: str | pa.Buffer, bits: int):
+    """Wave-1 task: one input piece (a parquet file path, read inside
+    the task, or a ``wire.dump`` buffer) → its C routed sub-tables as
+    ``wire.dump`` buffers. With C == 1 the task has a single return,
+    which is the one buffer itself, not a list of one."""
+    if isinstance(piece, str):
         piece = pq.read_table(piece)
-    return _split_table(piece, bits)
+    else:
+        piece = wire.load(piece)
+    subs = [wire.dump(t) for t in _split_table(piece, bits)]
+    return subs if len(subs) > 1 else subs[0]
 
 
-def _build_shard_tables(*pieces: pa.Table):
+def _build_shard_tables(*bufs: pa.Buffer):
     """Per-shard build: concat routed pieces → prepared single-chunk
-    table (as a ``wire.dump`` buffer: the fetch workers that resolve it
-    mid-crawl then never run Ray's table serializer) + h64-sorted index
-    + this shard's robots.txt rows (tiny, returned to the driver for
-    politeness-rule parsing)."""
+    table + h64-sorted index + this shard's robots.txt rows (tiny,
+    returned to the driver for politeness-rule parsing). Tables come
+    and go as ``wire.dump`` buffers, so neither these tasks nor the
+    fetch workers that resolve a shard mid-crawl run Ray's table
+    serializer."""
+    pieces = [wire.load(b) for b in bufs]
     t = pa.concat_tables([p for p in pieces if p.num_rows] or pieces[:1])
-    digests = t.column("url_hash").to_pylist()
+    index = build_fetch_index_from_digests(t.column("url_hash"))
     t = prepare_corpus(t.drop_columns(["url_hash"]))
-    index = build_fetch_index_from_digests(digests)
     robots = t.filter(pc.ends_with(t.column("url"), "/robots.txt"))
     robots = robots.select(["url", "html"])
-    return wire.dump(t), index, robots
+    return wire.dump(t), index, wire.dump(robots)
 
 
 _REMOTES: dict = {}
@@ -298,15 +306,12 @@ def build_sharded_corpus(
     c = 1 << bits
     split = _remote("split")
     build = _remote("build")
-    routed = [
-        split.options(num_returns=c).remote(p, bits) if c > 1
-        else [split.remote(p, bits)]
-        for p in pieces
-    ]
-    if c == 1:
-        # single-return tasks yield a LIST of one table; unwrap remotely
-        unwrap = ray.remote(lambda lst: lst[0])
-        routed = [[unwrap.remote(r[0])] for r in routed]
+    routed = []
+    for p in pieces:
+        refs = split.options(num_returns=c).remote(
+            p if isinstance(p, str) else wire.dump(p), bits
+        )
+        routed.append(refs if c > 1 else [refs])
     table_refs, index_refs, robots_refs = [], [], []
     for sid in range(c):
         t_ref, i_ref, r_ref = build.options(num_returns=3).remote(
@@ -315,7 +320,7 @@ def build_sharded_corpus(
         table_refs.append(t_ref)
         index_refs.append(i_ref)
         robots_refs.append(r_ref)
-    robots = pa.concat_tables(ray.get(robots_refs))
+    robots = pa.concat_tables([wire.load(b) for b in ray.get(robots_refs)])
     handle = ShardedCorpus(
         table_refs, index_refs, bits,
         max_resident=max_resident, num_rows=num_rows,

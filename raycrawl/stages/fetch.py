@@ -59,6 +59,7 @@ from ..schemas import (
     FRONTIER_SCHEMA,
     RETRY_QUEUE,
 )
+from ..state.seenfilter import Digests, digest_matrix
 from .extract import extract_page
 from .visitor import visit
 
@@ -100,20 +101,12 @@ def build_fetch_index(corpus: pa.Table) -> dict[str, np.ndarray]:
 
 
 def build_fetch_index_from_digests(
-    digests: list[bytes],
+    digests: Digests,
 ) -> dict[str, np.ndarray]:
     """Index from precomputed canonical-url digests (row i holds the
     digest of corpus row i): h64-sorted prefix array + 12-byte tails +
     row numbers."""
-    if not digests:
-        return {
-            "h64": np.empty(0, dtype=np.uint64),
-            "tail": np.empty((0, 12), dtype=np.uint8),
-            "row": np.empty(0, dtype=np.int64),
-        }
-    raw = np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(-1, 20)
-    h64 = raw[:, :8].copy().view(np.dtype("<u8")).reshape(-1)
-    tail = raw[:, 8:].copy()
+    h64, tail = _digests_to_h64_tail(digests)
     order = np.argsort(h64, kind="stable")
     return {
         "h64": h64[order],
@@ -122,8 +115,8 @@ def build_fetch_index_from_digests(
     }
 
 
-def _digests_to_h64_tail(digests: list[bytes]):
-    raw = np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(-1, 20)
+def _digests_to_h64_tail(digests: Digests):
+    raw = digest_matrix(digests)
     h64 = raw[:, :8].copy().view(np.dtype("<u8")).reshape(-1)
     return h64, raw[:, 8:]
 
@@ -384,6 +377,7 @@ class CrawlWorkerStage:
         # resets to at-least-once behavior.
         self._offered_seen: set[str] = set()
         self.OFFERED_SEEN_CAP = 1 << 20
+        wire.warm()
 
     def set_track_host_cost(self, on: bool) -> None:
         """Live-config hook: start/stop reporting host costs when the
@@ -401,9 +395,12 @@ class CrawlWorkerStage:
         return self.track_host_cost
 
     def ping(self) -> bool:
-        """Readiness probe: returns once ``__init__`` (incl. the corpus
-        ref resolution) has completed — the engine warms the pool at
-        construction so actor cold-start never lands inside the crawl."""
+        """Readiness probe: returns once ``__init__`` has completed —
+        the engine warms the pool at construction so actor cold-start
+        (process start, module imports, pyarrow's pandas import) never
+        lands inside the crawl. A whole-table corpus ref resolves in
+        ``__init__``; a sharded corpus resolves each shard at its first
+        lookup instead."""
         return True
 
     def seed_chunk(
@@ -486,11 +483,7 @@ class CrawlWorkerStage:
         nest."""
         if frontier_rows.num_rows == 0:  # all candidates pre-deduped
             return
-        digests = frontier_rows.column("url_hash")
-        raw = np.frombuffer(
-            b"".join(digests.to_pylist()), dtype=np.uint8
-        ).reshape(-1, 20)
-        h64 = raw[:, :8].copy().view(np.dtype("<u8")).reshape(-1)
+        h64, _ = _digests_to_h64_tail(frontier_rows.column("url_hash"))
         if getattr(self, "range_route", False):
             sids = (
                 (h64 >> np.uint64(64 - self._shard_bits)).astype(np.int64)

@@ -29,8 +29,11 @@ per shard ≈ 1.2 GB (fpr 1e-3), so 64 shards cover 10^10 URLs.
 
 The plain class is fully testable without Ray; ``create_shards`` wraps
 it with ``ray.remote``. Tables cross the actor boundary as Arrow IPC
-buffers (``raycrawl/wire.py``): ``offer`` and ``requeue`` accept one in
-place of a table, and ``take_split`` returns one.
+buffers (``raycrawl/wire.py``): ``offer``, ``requeue`` and
+``mark_seen`` accept one in place of a table or column, and
+``take_split`` returns one. ``__init__`` ends with ``wire.warm()``, so
+a shard finishes pyarrow's lazy pandas import before the engine's
+start-up barrier returns, not in its first offer.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import pyarrow.parquet as pq
 
 from .. import wire
 from ..schemas import FRONTIER_SCHEMA, QUEUES
-from .seenfilter import make_seen_filter
+from .seenfilter import digest_matrix, make_seen_filter
 
 _SORT_KEYS = [
     ("depth", "ascending"),
@@ -112,6 +115,7 @@ class FrontierShardState:
         # whose etag is unchanged.
         self._etag_hashes: np.ndarray | None = None  # sorted S20
         self._etag_values: np.ndarray | None = None  # aligned etags
+        wire.warm()
 
     # -- ingest ------------------------------------------------------------
 
@@ -184,7 +188,7 @@ class FrontierShardState:
         the rows as ``wire.dump(table)``."""
         if isinstance(table, pa.Buffer):
             table = wire.load(table)
-        digests = table.column("url_hash").to_pylist()
+        digests = table.column("url_hash")
         mask = self.seen.add_if_absent(digests)
         admitted = int(mask.sum())
         self.metrics["push"] += admitted
@@ -214,7 +218,7 @@ class FrontierShardState:
     def _stamp_etags(self, t: pa.Table) -> pa.Table:
         """Set payload_etag on admitted rows whose url_hash has a prior
         etag; rows already carrying an etag (event payloads) keep it."""
-        h = np.asarray(t.column("url_hash").to_pylist(), dtype="S20")
+        h = digest_matrix(t.column("url_hash")).view("S20").ravel()
         pos = np.searchsorted(self._etag_hashes, h)
         pos = np.minimum(pos, len(self._etag_hashes) - 1)
         hit = self._etag_hashes[pos] == h
@@ -392,8 +396,11 @@ class FrontierShardState:
             dropped += spilled
         return dropped
 
-    def mark_seen(self, digests: list[bytes]) -> int:
-        """Resume replay: record keys as seen without enqueueing."""
+    def mark_seen(self, digests: pa.ChunkedArray | pa.Buffer) -> int:
+        """Resume replay: record keys as seen without enqueueing. Ray
+        callers send ``wire.dump`` of a one-column ``url_hash`` table."""
+        if isinstance(digests, pa.Buffer):
+            digests = wire.load(digests).column("url_hash")
         mask = self.seen.add_if_absent(digests)
         return int(mask.sum())
 

@@ -226,16 +226,26 @@ def _latency_fetcher_cls():
 def test_ray_crawl_actors_never_import_ray_air(
     corpus, oracle, tmp_path, ray_session
 ):
-    """Tables cross the crawl's actor boundaries as IPC buffers
-    (raycrawl/wire.py), so no fetch worker or frontier shard runs Ray's
-    table serializer, whose first use imports ``ray.air`` (~0.5 s of
-    CPU per fresh actor, inside run()). The API's peek takes the same
-    way."""
+    """The actor-module contract. Every fetch worker and frontier
+    shard has finished pyarrow's lazy pandas import once the engine is
+    built (wire.warm in __init__), so no actor pays it inside run().
+    Tables cross the crawl's actor boundaries as IPC buffers
+    (raycrawl/wire.py), so no actor runs Ray's table serializer, whose
+    first use imports ``ray.air`` and ``ray.data`` (~0.5 s of CPU per
+    fresh actor). The API's peek takes the same way."""
     import sys
 
     import ray
 
     from raycrawl import api
+
+    def loaded(actors, module):
+        return ray.get(
+            [
+                a.__ray_call__.remote(lambda self: module in sys.modules)
+                for a in actors
+            ]
+        )
 
     cfg = CrawlConfig(
         state_dir=str(tmp_path / "state"), mode="ray",
@@ -244,19 +254,15 @@ def test_ray_crawl_actors_never_import_ray_air(
     engine = CrawlEngine(corpus, cfg)
     assert engine.corpus_handle is not None  # the sharded corpus path
     try:
+        actors = engine.workers + engine.shards
+        assert len(actors) == 5
+        assert loaded(actors, "pandas") == [True] * len(actors)
         result = engine.run(seeds=default_seeds(2))
         _check_against_oracle(corpus, result, oracle)
         assert api.queue_requests(engine, ["someorg", "someorg/repo"]) == 2
         assert api.peek(engine, "normal").num_rows == 2
-        actors = engine.workers + engine.shards
-        assert len(actors) == 5
-        loaded = ray.get(
-            [
-                a.__ray_call__.remote(lambda self: "ray.air" in sys.modules)
-                for a in actors
-            ]
-        )
-        assert loaded == [False] * len(actors)
+        for module in ("ray.air", "ray.data"):
+            assert loaded(actors, module) == [False] * len(actors), module
     finally:
         engine.close()
 

@@ -1,10 +1,17 @@
+import numpy as np
 import pyarrow as pa
 import pytest
 
+from raycrawl import wire
 from raycrawl.pipelines.crawl import build_frontier_rows
 from raycrawl.state.frontier import FrontierShardState
 from raycrawl.state.politeness import PolitenessPolicy, parse_robots
-from raycrawl.state.seenfilter import BloomSeenFilter, ExactSeenFilter
+from raycrawl.state.seenfilter import (
+    BloomSeenFilter,
+    ExactSeenFilter,
+    digest_matrix,
+    make_seen_filter,
+)
 
 
 def _digest(i: int) -> bytes:
@@ -52,6 +59,84 @@ def test_seen_digest_order_insensitive():
     assert a.digest() == b.digest()
 
 
+def _equivalence_batches():
+    """40 seeded batches drawn with replacement from 6,000 keys
+    (in-batch duplicates), batch 5 empty."""
+    import hashlib
+
+    rng = np.random.default_rng(11)
+    keys = [hashlib.sha1(b"k%d" % i).digest() for i in range(6000)]
+    out = []
+    for b in range(40):
+        n = 0 if b == 5 else int(rng.integers(1, 600))
+        out.append([keys[j] for j in rng.integers(0, len(keys), n)])
+    return out
+
+
+def _as_list(d):
+    return d
+
+
+def _as_array(d):
+    return pa.array(d, pa.binary(20))
+
+
+def _as_sliced(d):
+    pad = b"\xff" * 20
+    return pa.array([pad] + d + [pad], pa.binary(20)).slice(1, len(d))
+
+
+def _as_chunked(d):
+    a = _as_sliced(d)
+    h = len(d) // 2
+    return pa.chunked_array([a.slice(0, h), a.slice(h)], pa.binary(20))
+
+
+# (len, SHA-1 over the packed admit masks, filter digest) after the
+# batches above, pinned from the list-of-bytes implementation with its
+# per-row dedup loops. The Bloom filter is sized to saturate (4,915
+# admitted of 4,955 distinct keys), so false positives are in the
+# masks too.
+_PINNED = {
+    "bloom": (4915, "5f70eb76b3b5d4fd815c12637ba474abcf344ad0",
+              "5f74c09db86deae9aa1ecd64a5da86ea07303b9d"),
+    "exact": (4955, "ddf79eec250c877a7723ca80bf5062b1bd6985f9",
+              "f0d9ac0d9f64ef88492dfe4f65ca317dd2195b2f"),
+}
+
+
+@pytest.mark.parametrize(
+    "form", [_as_list, _as_array, _as_sliced, _as_chunked],
+    ids=["list", "array", "sliced", "chunked"],
+)
+@pytest.mark.parametrize("kind", ["bloom", "exact"])
+def test_seen_filter_input_forms_match_pinned(kind, form):
+    """Every accepted input form admits the same rows and leaves the
+    same filter as the pinned list-of-bytes results."""
+    import hashlib
+
+    f = make_seen_filter(kind, capacity=4000, fpr=0.02)
+    h = hashlib.sha1()
+    for batch in _equivalence_batches():
+        digests = form(batch)
+        mask = f.add_if_absent(digests)
+        assert mask.dtype == bool and len(mask) == len(batch)
+        h.update(np.packbits(mask).tobytes() + b"|")
+    assert (len(f), h.hexdigest(), f.digest()) == _PINNED[kind]
+    probe = form(_equivalence_batches()[7])
+    assert f.contains(probe).all()
+
+
+def test_digest_matrix_views_offset_and_chunks():
+    d = [bytes([i]) * 19 + b"\x00" for i in range(5)]
+    want = np.frombuffer(b"".join(d), np.uint8).reshape(5, 20)
+    for form in (_as_list, _as_array, _as_sliced, _as_chunked):
+        assert np.array_equal(digest_matrix(form(d)), want)
+    assert digest_matrix(_as_chunked([])).shape == (0, 20)
+    assert digest_matrix(pa.chunked_array([], pa.binary(20))).shape == (
+        0, 20)
+
+
 def _rows(urls, queue="normal", depth=0, ts0=1000):
     specs = [{"url": u, "queue": queue} for u in urls]
     t = build_frontier_rows(specs, base_ts=ts0, depth=depth)
@@ -71,6 +156,20 @@ def test_shard_offer_dedup_and_take_order():
         "http://a.com/0", "http://a.com/1", "http://a.com/2"
     ]
     assert s.pending_total() == 2
+
+
+def test_shard_mark_seen_accepts_wire_buffer():
+    """Resume replay: keys marked seen, sent as a one-column wire
+    buffer or as the column itself, bounce every later offer."""
+    t = _rows([f"http://a.com/{i}" for i in range(6)])
+    for send in (
+        lambda k: wire.dump(k.select(["url_hash"])),
+        lambda k: k.column("url_hash"),
+    ):
+        s = FrontierShardState(0, 1)
+        assert s.mark_seen(send(t.slice(2))) == 4
+        assert s.offer(t) == 2
+        assert s.seen_count() == 6
 
 
 def test_shard_depth_priority():
