@@ -182,7 +182,7 @@ def canonicalize_batch(urls) -> tuple[list[str], list[bytes], list[str]]:
 def shard_of(digest: bytes, num_shards: int) -> int:
     """Stable shard assignment: first 8 bytes of SHA-1 (little-endian,
     matching numpy's uint64 view in the vectorized batch router —
-    CrawlWorkerStage._shard_split) mod num_shards. The two MUST agree:
+    stages/fetch.py shard_split) mod num_shards. The two MUST agree:
     a url_hash has exactly one owning shard or insert-if-absent dedup
     breaks."""
     return int.from_bytes(digest[:8], "little") % num_shards

@@ -5,13 +5,13 @@ Rebuilds the reference crawler's processOne loop
 behavior: pop → fetch → visit → store → queue children → done/abandon)
 over two executors that share every kernel:
 
-``mode='ray'`` — the continuous pull scheduler (``_run_pull``): the
-driver keeps every fetch-worker actor ~2 chunks deep with take waves
-from the FrontierShard actors, with no epoch barrier. Retries run
-worker-side; candidate links go straight from the workers to their
-owning shards. Every 16 cycles a checkpoint drains the pipeline, acks
-the workers' offers, flushes the shards' admitted spools and advances
-the manifest.
+``mode='ray'`` — the continuous pull scheduler (``PullScheduler`` in
+scheduler.py): the driver keeps every fetch-worker actor ~2 chunks
+deep with take waves from the FrontierShard actors, with no epoch
+barrier. Retries run worker-side; candidate links go straight from the
+workers to their owning shards. Every 16 cycles a checkpoint drains the
+pipeline, acks the workers' offers, flushes the shards' admitted spools
+and advances the manifest.
 
 ``mode='local'`` — the single-process golden executor: a barriered
 epoch loop (the reference's InMemory crawler mode,
@@ -49,7 +49,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from glob import glob
 
@@ -75,9 +74,11 @@ from ..stages.fetch import (
     CrawlWorkerStage,
     build_fetch_index,
     prepare_corpus,
+    shard_split,
 )
 from ..state.frontier import FrontierShardState, create_shards
 from ..state.politeness import PolitenessPolicy
+from .scheduler import PullScheduler, wave_cap
 
 
 # BatchStats counter -> metric name of its per-second series
@@ -271,105 +272,6 @@ def build_frontier_rows(
     )
 
 
-def _route_holder(cfg: "CrawlConfig"):
-    """Duck-typed ``self`` for ``CrawlWorkerStage._shard_split`` on the
-    driver: carries the shard count AND the routing mode, so driver-side
-    routing (seeds, retries, etag loads, resume replay) matches the
-    workers' router bit-for-bit (single-owner invariant) under both the
-    default mod router and align_corpus_ranges' range router."""
-    bits = cfg.num_shards.bit_length() - 1
-    return type(
-        "S",
-        (),
-        {
-            "num_shards": cfg.num_shards,
-            "range_route": cfg.align_corpus_ranges,
-            "_shard_bits": bits if cfg.align_corpus_ranges else 0,
-        },
-    )()
-
-
-class NodeDispatcher:
-    """Per-node dispatch tier for the pull executor (BASELINE.md
-    "dispatch ceiling" scale path #2). The driver sends one LEASE — a
-    list of (table_ref, offset, size, clock_us) chunks, each stamped
-    with the clock of the take wave that admitted it — per RPC; this
-    actor fans the chunks out to its node-local worker group and
-    returns their BatchStats records in one list, so the driver pays
-    O(leases) instead of O(chunks). At the measured ~4 ms driver CPU
-    per RPC and 8-16 workers per group, the single-driver ceiling
-    moves from ~74 workers to the thousands.
-
-    Concurrency model: created with max_concurrency > 1 so consecutive
-    leases OVERLAP — each lease() call immediately queues its chunks
-    onto the group's worker actors (Ray actors execute queued calls
-    serially), so two in-flight leases reproduce the flat executor's
-    per-worker double-buffer without dispatcher-side scheduling state.
-    Chunks within a wave are uniform-sized, so rotating round-robin
-    placement balances the group. On a real cluster, one dispatcher is
-    scheduled per node (placement-group or node-affinity) so worker
-    results never leave the node before merging; a dispatcher death is
-    a node-sized failure domain handled the way node loss is —
-    checkpoint recovery via resume_crawl.
-    """
-
-    def __init__(self, workers: list, pin_cpus: tuple = ()) -> None:
-        if pin_cpus:
-            # share the reserved cores with the shards/driver: an
-            # unpinned dispatcher competes with the compute-bound
-            # workers for timeslices and its lease hops eat scheduling
-            # latency (same rationale as the workers' reserve_cores)
-            try:
-                os.sched_setaffinity(0, set(pin_cpus))
-            except (AttributeError, OSError):  # pragma: no cover
-                pass
-        self.workers = workers
-        # per-worker in-flight chunk counts, shared across the
-        # concurrent lease() threads: min-outstanding placement keeps
-        # the group balanced when leases overlap (blind round-robin
-        # measured ~5% slower at 10M pages — two leases landing chunks
-        # on the same worker while a sibling idles)
-        import threading
-
-        self._out = [0] * len(workers)
-        self._lock = threading.Lock()
-
-    def ping(self) -> bool:
-        return True
-
-    def lease(self, chunks: list, cycle: int) -> list[BatchStats]:
-        import ray
-
-        remaining: dict = {}
-        for tref, off, size, clock_us in chunks:
-            with self._lock:
-                w = min(
-                    range(len(self.workers)), key=self._out.__getitem__
-                )
-                self._out[w] += 1
-            ref = self.workers[w].process_range.remote(
-                tref, off, size, cycle, clock_us
-            )
-            remaining[ref] = w
-        results = []
-        while remaining:
-            done, _ = ray.wait(
-                list(remaining), num_returns=1, fetch_local=True
-            )
-            extra, _ = ray.wait(
-                [r for r in remaining if r != done[0]],
-                num_returns=len(remaining) - 1,
-                timeout=0,
-                fetch_local=True,
-            )
-            done += extra
-            with self._lock:
-                for r in done:
-                    self._out[remaining.pop(r)] -= 1
-            results.extend(ray.get(done))
-        return results
-
-
 class CrawlEngine:
     def __init__(self, corpus, cfg: CrawlConfig) -> None:
         """``corpus``: the simulated network — a pa.Table, or (ray
@@ -493,6 +395,7 @@ class CrawlEngine:
         self._epoch_callbacks: list = []
         self._cached_counts = None  # per-epoch counts piggybacked on flush
         self._route_refs: list = []     # pull mode: in-flight shard RPCs
+        self.scheduler: PullScheduler | None = None  # the running pull loop
         self._metrics_rows: list[dict] = []
         # lifecycle event log: append to any prior engine's trace on
         # this state_dir (resume/recrawl post-mortems see the events of
@@ -700,18 +603,13 @@ class CrawlEngine:
             return
         import ray
 
-        for a in (
-            list(getattr(self, "workers", []))
-            + list(self.shards)
-            + list(getattr(self, "_tiers", []))
-        ):
+        for a in list(getattr(self, "workers", [])) + list(self.shards):
             try:
                 ray.kill(a, no_restart=True)
             except Exception:
                 pass
         self.workers = []
         self.shards = []
-        self._tiers = []
 
     # -- live config (T11/X5; reference routes/config.js:12-50) ------------
 
@@ -817,14 +715,14 @@ class CrawlEngine:
         one pull cycle is one logical window. An allowance at or above
         the most rows one window can take can never defer a row, so the
         unbounded headline config pushes allowance=None and the shards
-        keep their gate-free take fast path. That cap is
-        fetch_batch_size x 4 x pool under 'ray' (the refill `want`
-        cap); under 'local' it is epoch_budget plus one row per queue
-        and per (queue, shard), which _quotas' rounding up can add."""
+        keep their gate-free take fast path. That cap is the take-wave
+        cap (scheduler.wave_cap) under 'ray'; under 'local' it is
+        epoch_budget plus one row per queue and per (queue, shard),
+        which _quotas' rounding up can add."""
         pol = self.politeness
         cfg = self.cfg
         if cfg.mode == "ray":
-            cap = cfg.fetch_batch_size * 4 * max(1, len(self.workers))
+            cap = wave_cap(cfg.fetch_batch_size, len(self.workers))
         else:
             cap = cfg.epoch_budget + len(QUEUES) * (cfg.num_shards + 1)
         base = max(1, int(pol.host_rate_per_sec * pol.epoch_seconds))
@@ -865,13 +763,14 @@ class CrawlEngine:
         slice (docs/num_shards rows), exactly how a multi-node cluster
         would hold a 10^10-doc etag store. Shards stamp payload_etag on
         admitted rows; the fetch stage 304s unchanged bodies."""
-        splitter = CrawlWorkerStage._shard_split
-        holder = _route_holder(self.cfg)
+        cfg = self.cfg
         refs = []
-        for sid, sub in splitter(holder, docs):
+        for sid, sub in shard_split(
+            docs, cfg.num_shards, cfg.align_corpus_ranges
+        ):
             hashes = sub.column("url_hash").to_pylist()
             etags = sub.column("etag").to_pylist()
-            if self.cfg.mode == "ray":
+            if cfg.mode == "ray":
                 refs.append(
                     self.shards[sid].load_etag_index.remote(hashes, etags)
                 )
@@ -939,10 +838,11 @@ class CrawlEngine:
         as a ``wire.dump`` buffer, as from the workers."""
         if rows.num_rows == 0:
             return 0
-        splitter = CrawlWorkerStage._shard_split
-        holder = _route_holder(self.cfg)
-        parts = list(splitter(holder, rows))
-        if self.cfg.mode == "ray":
+        cfg = self.cfg
+        parts = list(
+            shard_split(rows, cfg.num_shards, cfg.align_corpus_ranges)
+        )
+        if cfg.mode == "ray":
             import ray
 
             return sum(
@@ -1128,7 +1028,15 @@ class CrawlEngine:
         SIGKILL)."""
         cfg = self.cfg
         if cfg.mode == "ray":
-            return self._run_pull(seeds, max_urls, start_cycle=start_epoch)
+            # held only while it runs: the scheduler refers back to the
+            # engine, and a lasting cycle would keep the actor handles
+            # alive after the engine goes out of scope
+            self.scheduler = PullScheduler(self, max_urls, start_epoch)
+            try:
+                label = self.scheduler.run(seeds)
+            finally:
+                self.scheduler = None
+            return self._finish(label, cycles=label)
         self._trace(
             "crawl_start", executor="epochs",
             seeds=len(seeds or []), start_epoch=start_epoch,
@@ -1149,12 +1057,9 @@ class CrawlEngine:
             if stats["pending"] == 0:
                 break
             if stats["taken"] == 0:
-                # all pending rows deferred — idle tick: jump the clock
-                # to the earliest not_before (pollingDelay analogue)
-                nbs = [x for x in self._call("min_not_before") if x is not None]
-                if not nbs:
+                clock_us = self._idle_clock(clock_us)
+                if clock_us is None:
                     break
-                clock_us = max(clock_us + epoch_us, min(nbs))
                 epoch += 1
                 continue
             self._record_epoch(epoch, stats)
@@ -1165,6 +1070,16 @@ class CrawlEngine:
             if max_urls is not None and processed >= max_urls:
                 break
         return self._finish(epoch, epochs=epoch)
+
+    def _idle_clock(self, clock_us: int) -> int | None:
+        """Idle tick for both executors, when every pending row is
+        deferred: jump the clock at least one window, to the earliest
+        not_before (pollingDelay analogue). None when nothing is
+        deferred."""
+        nbs = [x for x in self._call("min_not_before") if x is not None]
+        if not nbs:
+            return None
+        return max(clock_us + int(self.cfg.epoch_seconds * 1e6), min(nbs))
 
     def _finish(self, label: int, **stop):
         """Close a crawl: the shards' cumulative counters (spill
@@ -1203,588 +1118,6 @@ class CrawlEngine:
             seen_digest=hashlib.sha1("".join(digests).encode()).hexdigest(),
             metrics=metrics,
         )
-
-    # -- continuous (pull) executor ---------------------------------------
-
-    def _run_pull(
-        self,
-        seeds: list[dict] | None,
-        max_urls: int | None,
-        start_cycle: int = 0,
-    ) -> CrawlResult:
-        """Continuous scheduler: no epoch barrier. The driver keeps
-        every worker ~2 chunks deep; takes, dispatches, offers
-        (flushed per batch by the workers), retries and lineage
-        flushes all overlap. A barriered Ray epoch loop (take →
-        process → drain → flush) was measured at ~40-60% worker
-        utilization at 32 CPUs — the barrier tail plus per-epoch
-        serial phases are Amdahl's-law poison for the N→4N scaling
-        criterion.
-
-        Priority is approximate global (each shard's take is exact
-        (depth, discovery_ts) order; waves interleave shards), which is
-        the documented production ordering (SURVEY §2.9 W7) — exact
-        traversal parity stays with the single-threaded local mode.
-
-        Politeness runs INSIDE the shards' take()
-        (FrontierShardState.configure_politeness): each take wave is
-        one logical window (start_refill advances the clock by
-        epoch_us per wave) and each shard admits its rotating share of
-        the global per-host allowance. Every chunk is processed — and
-        its documents stamped — at the clock of the wave that admitted
-        it, so no host exceeds its allowance in any one window of
-        ``processed_at``, with no driver barrier. Token pools (T7/T8)
-        gate worker-side; compute budgets (T6) charge in _absorb() and
-        bench hosts via the shards' set_benched."""
-        import ray
-        import time as _time
-
-        _tm = {"seed": 0.0, "refill": 0.0, "dispatch": 0.0, "wait": 0.0,
-               "absorb": 0.0, "stall": 0.0, "final": 0.0,
-               "cycles": 0, "chunks": 0, "sweeps": 0, "leases": 0}
-        _t = _time.perf_counter()
-        cfg = self.cfg
-        self._trace(
-            "crawl_start", executor="pull",
-            seeds=len(seeds or []), start_cycle=start_cycle,
-        )
-        self._apply_config_patches()  # patches queued before run()
-        self._sync_politeness()
-        if seeds:
-            self._seed_parallel(seeds)
-        _tm["seed"] = _time.perf_counter() - _t
-        epoch_us = int(cfg.epoch_seconds * 1e6)
-        cycle = start_cycle
-        clock_us = cfg.base_ts_us
-        chunk = cfg.fetch_batch_size
-        pool = self.workers
-        # per-worker dispatch depth: each worker keeps DEPTH chunks in
-        # flight (double buffer) so a completed chunk never leaves the
-        # actor idle for a driver round trip — the 1-deep dispatch was
-        # measured as a ~1.7x per-worker utilization gap at 24 workers
-        # (completions arrive faster than the driver's turnaround).
-        DEPTH = 2
-        # dispatch tier (BASELINE.md scale path #2): group the workers
-        # under NodeDispatcher actors and dispatch LEASES of ~group
-        # chunks — one driver RPC per lease instead of per chunk. The
-        # dispatcher's max_concurrency lets consecutive leases overlap,
-        # reproducing the per-worker double-buffer one level up.
-        tiers: list = []
-        group = 1
-        lease_n = 1
-        depth_cap = DEPTH
-        if cfg.node_dispatchers > 0:
-            group = max(1, math.ceil(len(pool) / cfg.node_dispatchers))
-            # half-group leases at double slot depth: same in-flight
-            # chunk budget (2 x group per dispatcher) but 2x finer
-            # completion granularity — a lease frees its slot when its
-            # SLOWEST chunk finishes, and the measured lease-tail idle
-            # at full-group leases was ~12% of wall at 10M pages
-            lease_n = max(1, math.ceil(group / 2))
-            depth_cap = 2 * DEPTH
-            disp_cls = ray.remote(
-                num_cpus=0, max_concurrency=depth_cap + 1
-            )(NodeDispatcher)
-            disp_pin = (
-                tuple(range(cfg.reserve_cores))
-                if cfg.reserve_cores > 0
-                else ()
-            )
-            tiers = [
-                disp_cls.remote(pool[i : i + group], pin_cpus=disp_pin)
-                for i in range(0, len(pool), group)
-            ]
-            ray.get([d.ping.remote() for d in tiers])
-        self._tiers = tiers  # close() kills leftovers on error paths
-        targets = tiers or pool
-        # corpus-range affinity (align_corpus_ranges; tier combination
-        # rejected at construction): frontier shard s's chunks go only
-        # to its worker group, so each worker's ShardedTableFetcher
-        # touches exactly the corpus shards nested in s's hash range —
-        # max(1, C/S) of them, zero cold re-pulls (asserted with
-        # fetcher_stats in tests/test_corpus_align.py).
-        aligned = cfg.align_corpus_ranges
-        shard_workers: list[list[int]] = []  # frontier shard -> workers
-
-        def align_workers() -> None:
-            S, P = len(self.shards), len(pool)
-            shard_workers[:] = [
-                [w for w in range(P) if w % S == s]
-                if P >= S
-                else [s % P]
-                for s in range(S)
-            ]
-
-        if aligned:
-            align_workers()
-            S = len(self.shards)
-            if self.corpus_handle is not None:
-                # warm each worker's range slice NOW (fire-and-forget,
-                # drained with the other async RPCs): under alignment
-                # a worker's corpus shards are known before the first
-                # row is taken, so restores/mmaps overlap the seed
-                # ramp instead of serializing into the first waves —
-                # the spill-pressure cost measured in the 20M-page
-                # aligned run (BASELINE.md hard-residency table).
-                C = self.corpus_handle.num_shards
-                for s in range(S):
-                    rng_ = (
-                        list(range(s * (C // S), (s + 1) * (C // S)))
-                        if C >= S
-                        else [s * C // S]
-                    )
-                    self._route_refs.extend(
-                        pool[w].warm_corpus_shards.remote(rng_)
-                        for w in shard_workers[s]
-                    )
-        outstanding = [0] * len(targets)
-        inflight: dict = {}  # ref -> (target_idx, n_rows, replay_desc)
-        inflight_rows = 0
-        # Checked-drain state (the at-least-once offer contract's ack
-        # point): offers are fire-and-forget and buffered across ranges
-        # for throughput, so a worker death can lose children of ranges
-        # whose results already surfaced — and Ray's transparent task
-        # retry never replays a DELIVERED result. The driver therefore
-        # keeps every returned dispatch descriptor in `unacked` until
-        # the next drain wave proves (pid unchanged since the previous
-        # wave) that one incarnation both ran the window and acked its
-        # offers. On a pid mismatch the window replays side-effect-only
-        # (shard insert-if-absent dedups re-offers; duplicate doc parts
-        # collapse in the last-wins compaction; the replayed results
-        # are DISCARDED so counters are not double-absorbed). Cost off
-        # the failure path: holding take-table refs alive for one flush
-        # interval (<= ~16 cycles of waves in plasma) and one dict/pid
-        # compare per drain — the hot loop itself stays async.
-        last_pids: list[int] = ray.get([w.pid.remote() for w in pool])
-        unacked: dict[int, list] = {}
-
-        def drain_workers() -> None:
-            nonlocal last_pids
-            for _ in range(cfg.worker_max_restarts + 2):
-                infos = ray.get([w.drain_info.remote() for w in pool])
-                self._totals["admitted"] += sum(i["admits"] for i in infos)
-                pids = [i["pid"] for i in infos]
-                hit = {
-                    (widx // group if tiers else widx)
-                    for widx in range(len(pool))
-                    if pids[widx] != last_pids[widx]
-                }
-                last_pids = pids
-                if not hit:
-                    unacked.clear()
-                    return
-                self._trace("worker_restart", workers=sorted(hit),
-                            executor="pull")
-                replay = []
-                for tidx in hit:
-                    for desc in unacked.get(tidx, ()):
-                        if tiers:
-                            lease, cyc = desc
-                            replay.append(
-                                targets[tidx].lease.remote(lease, cyc)
-                            )
-                        else:
-                            tref, off, size, cyc, ck = desc
-                            replay.append(
-                                targets[tidx].process_range.remote(
-                                    tref, off, size, cyc, ck
-                                )
-                            )
-                    unacked.pop(tidx, None)
-                ray.get(replay)  # results discarded: absorbed once already
-                # loop: ack the replay's own offers and re-verify pids
-            self._trace("abort", reason="offer-drain worker restart loop")
-            self._write_trace()
-            raise RuntimeError(
-                "fetch workers kept restarting during offer drain; "
-                "aborting — resume from the last checkpoint"
-            )
-        work_q: deque = deque()  # (take_ref, offset, size, clock, shard)
-        last_flushed_cycle = -1
-        processed = 0
-
-        last_counts: list[dict[str, int]] | None = None
-
-        def resize_pool() -> None:
-            """Apply a live /fetcher/concurrency patch (recorded by
-            _on_fetcher_change). Runs inside the checkpoint, after
-            drain_workers(): nothing is in flight and every offer is
-            acked, so workers join or leave outside any replay window.
-            The tier rejects the patch (patch_config)."""
-            want, have = self._pool_target, len(pool)
-            if want == have:
-                return
-            if want > have:
-                new = [self._spawn_worker(wi) for wi in range(have, want)]
-                last_pids.extend(ray.get([w.pid.remote() for w in new]))
-                pool.extend(new)
-                outstanding.extend([0] * (want - have))
-            else:
-                # settle fire-and-forget RPCs before their actor dies
-                ray.get(self._route_refs)
-                self._route_refs.clear()
-                for w in pool[want:]:
-                    ray.kill(w, no_restart=True)
-                del pool[want:], last_pids[want:], outstanding[want:]
-            if aligned:
-                align_workers()
-            self._sync_politeness()  # its cap scales with the pool
-
-        def totals() -> dict:
-            return dict(self._totals, taken=processed)
-
-        # counters at the last checkpoint: on_epoch hooks get deltas
-        mark = dict(totals(), deferred=0)
-
-        def report_checkpoint(label: int, lineage: list[dict]) -> None:
-            now = dict(
-                totals(),
-                deferred=sum(
-                    rec["metrics"].get("defer", 0) for rec in lineage
-                ),
-            )
-            stats = {k: v - mark[k] for k, v in now.items()}
-            stats["pending"] = sum(
-                sum(rec["counts"].values()) for rec in lineage
-            )
-            mark.update(now)
-            for cb in self._epoch_callbacks:
-                cb(self, label, stats)
-
-        def lineage_flush() -> None:
-            """Checkpoint = a CONSISTENT cut, so resume_crawl's
-            suspect-window rule ('doc dirs > manifest last_epoch may
-            have unflushed children') is airtight:
-
-            1. generation barrier — absorb every in-flight
-               process_range (their doc files carry cycle labels
-               <= the manifest we are about to write);
-            2. drain the workers' async offer RPCs (a completed
-               batch's children can otherwise still be in flight to
-               the shards and land in the NEXT spool);
-            3. flush the shards' admitted spools, THEN advance the
-               manifest (WAL order — a manifest ahead of its spools
-               made a SIGKILL in that window lose frontier rows,
-               measured);
-            4. bump the cycle label so every post-checkpoint batch
-               writes doc dirs STRICTLY above the manifest.
-
-            A pending pool resize applies between steps 2 and 3, and
-            the on_epoch hooks run last.
-
-            Cost: one pipeline drain per flush interval (16 cycles) —
-            the bounded-depth pipeline (<= pool x DEPTH chunks) drains
-            in one wave, unlike the per-cycle epoch barrier this
-            executor exists to avoid."""
-            nonlocal last_flushed_cycle, cycle, inflight_rows
-            while inflight:
-                done, _ = ray.wait(
-                    list(inflight), num_returns=len(inflight),
-                    fetch_local=True,
-                )
-                for r in done:
-                    tidx, rows, desc = inflight.pop(r)
-                    outstanding[tidx] -= 1
-                    inflight_rows -= rows
-                    unacked.setdefault(tidx, []).append(desc)
-                absorb(ray.get(done))
-            drain_workers()
-            resize_pool()
-            refs = [s.flush_epoch.remote(cycle) for s in self.shards]
-            last_flushed_cycle = label = cycle
-            lineage = ray.get(refs)
-            self._ingest_lineage(lineage, cycle)
-            self._write_manifest(cycle, completed=False)
-            cycle += 1
-            # config heartbeat: a worker that RESTARTED since the last
-            # flush re-ran __init__ with its constructor-time config,
-            # silently reverting live-patched deltas; re-pushing the
-            # current value every flush bounds that revert window to
-            # one flush interval (idempotent, fire-and-forget)
-            self._route_refs.extend(
-                w.set_track_host_cost.remote(
-                    self.compute_budget is not None
-                )
-                for w in pool
-            )
-            report_checkpoint(label, lineage)
-
-        pending_take: list | None = None  # in-flight (meta_ref, table_ref)
-        take_clock = clock_us  # the clock pending_take was issued at
-        starved = False  # last refill saw an empty frontier; wait for offers
-
-        def start_refill() -> None:
-            """Issue one take wave (fire-and-forget). The take RPC round
-            trip is ~tens of ms — resolving it synchronously per refill
-            was a measured driver bottleneck, so the refs resolve later
-            (finish_refill) while workers keep crunching. take_split's
-            two-part return keeps the wave's row data in plasma: the
-            driver reads only the tiny meta objects and dispatches the
-            table refs untouched."""
-            nonlocal cycle, clock_us, pending_take, last_counts, starved
-            nonlocal take_clock
-            take_clock = clock_us
-            if last_counts is None:
-                # async counts-only poll (empty quotas): a synchronous
-                # counts round per starvation stutter was measurable
-                pending_take = [
-                    s.take_split.options(num_returns=2).remote({}, clock_us)
-                    for s in self.shards
-                ]
-                cycle += 1
-                clock_us += epoch_us
-                return
-            pending = sum(sum(c.values()) for c in last_counts)
-            queued = sum(item[2] for item in work_q)
-            want = chunk * 4 * len(pool) - queued - inflight_rows
-            if pending and want > 0:
-                per_shard, _ = self._quotas(last_counts, budget=want)
-                if per_shard is None:
-                    per_shard = [{} for _ in self.shards]
-                pending_take = [
-                    s.take_split.options(num_returns=2).remote(q, clock_us)
-                    for s, q in zip(self.shards, per_shard)
-                ]
-            else:
-                last_counts = None  # force a fresh poll next round
-                starved = True
-            cycle += 1
-            clock_us += epoch_us
-
-        def finish_refill() -> int:
-            """Resolve the in-flight take wave's META objects only and
-            enqueue (table_ref, offset, size, wave clock, shard)
-            dispatch chunks — the row data stays in plasma; the driver
-            never touches it. The wave's clock travels with each chunk:
-            the shard gate admitted its rows for that window."""
-            nonlocal pending_take, last_counts, processed, starved
-            refs = pending_take
-            pending_take = None
-            metas = ray.get([m for m, _ in refs])
-            last_counts = [m["counts"] for m in metas]
-            wave = sum(m["num"] for m in metas)
-            # adaptive slicing: a small wave (BFS ramp, crawl tail) is
-            # split so every worker with spare depth gets a piece — a
-            # fixed batch_size slice left 19 of 24 workers idle on the
-            # 20k-seed first wave. Under the tier, capacity is counted
-            # in CHUNKS (free lease slots x lease_n chunks per lease,
-            # capped at the pool) — counting each non-full dispatcher
-            # as one lease undercounted an idle pool ~2x and split the
-            # ramp wave across only half the workers.
-            if tiers:
-                free = min(
-                    len(pool),
-                    sum(
-                        lease_n * (depth_cap - o)
-                        for o in outstanding
-                        if o < depth_cap
-                    ),
-                )
-            else:
-                free = min(
-                    len(pool),
-                    sum(1 for o in outstanding if o < depth_cap),
-                )
-            # A slice holds at most fetch_batch_size rows and, unless
-            # the wave is smaller, at least min(192, fetch_batch_size).
-            eff_chunk = max(
-                min(192, chunk), min(chunk, math.ceil(wave / max(1, free)))
-            )
-            took = 0
-            for sid, ((_, table_ref), m) in enumerate(zip(refs, metas)):
-                n = m["num"]
-                took += n
-                for off in range(0, n, eff_chunk):
-                    work_q.append(
-                        (table_ref, off, min(eff_chunk, n - off),
-                         take_clock, sid)
-                    )
-            processed += took
-            if took == 0:
-                starved = True
-            return took
-
-        def refill_sync() -> int:
-            start_refill()
-            return finish_refill() if pending_take is not None else 0
-
-        def absorb(results: list) -> None:
-            """Fold completed calls: one BatchStats per process_range,
-            a list of them per tier lease."""
-            nonlocal starved
-            starved = False  # completions flushed fresh offers to shards
-            if tiers:
-                results = [b for lease in results for b in lease]
-            if self._absorb(results, clock_us)[1]:
-                self._push_benched(clock_us)
-
-        while True:
-            # refill only when the queue is genuinely low — counts/take
-            # RPC rounds per completion were measured to starve the pool
-            taking = max_urls is None or processed < max_urls
-            if (
-                pending_take is None
-                and taking
-                and not starved
-                and len(work_q) < 2 * len(pool)
-            ):
-                # T11/X5: pull-CYCLE boundary — live-config patches land
-                # here, as the local epoch loop applies them per epoch
-                # (patch_config already validated them, so this cannot
-                # abort the crawl); a landed patch re-syncs the
-                # shard-side politeness gate so rate changes bind from
-                # the next window
-                if self._apply_config_patches():
-                    self._sync_politeness()
-                _t = _time.perf_counter()
-                start_refill()
-                _tm["refill"] += _time.perf_counter() - _t
-                _tm["cycles"] += 1
-                if cycle - last_flushed_cycle >= 16:
-                    lineage_flush()
-            if pending_take is not None:
-                _t = _time.perf_counter()
-                if not work_q:
-                    finish_refill()  # queue dry: block on the take wave
-                else:
-                    metas = [m for m, _ in pending_take]
-                    ready, _ = ray.wait(
-                        metas, num_returns=len(metas), timeout=0
-                    )
-                    if len(ready) == len(metas):
-                        finish_refill()
-                _tm["refill"] += _time.perf_counter() - _t
-            _t = _time.perf_counter()
-            while work_q:
-                if aligned:
-                    # hard-residency affinity: a chunk may only go to
-                    # its frontier shard's worker group. Scan for the
-                    # first chunk whose group has depth capacity (no
-                    # head-of-line block on a busy group; the refill
-                    # trigger caps the queue at ~2x pool chunks, so
-                    # the scan is tens of items).
-                    pick = None
-                    for qi, item in enumerate(work_q):
-                        w = min(
-                            shard_workers[item[4]],
-                            key=outstanding.__getitem__,
-                        )
-                        if outstanding[w] < depth_cap:
-                            pick = (qi, w)
-                            break
-                    if pick is None:
-                        break
-                    qi, widx = pick
-                    take_ref, off, size, ck, _sid = work_q[qi]
-                    del work_q[qi]
-                    rows = size
-                    ref = targets[widx].process_range.remote(
-                        take_ref, off, size, cycle, ck
-                    )
-                    desc = (take_ref, off, size, cycle, ck)
-                    _tm["chunks"] += 1
-                    inflight[ref] = (widx, rows, desc)
-                    outstanding[widx] += 1
-                    inflight_rows += rows
-                    continue
-                widx = min(
-                    range(len(targets)), key=outstanding.__getitem__
-                )
-                if outstanding[widx] >= depth_cap:
-                    break
-                if tiers:
-                    lease = [
-                        work_q.popleft()[:4]
-                        for _ in range(min(len(work_q), lease_n))
-                    ]
-                    rows = sum(c[2] for c in lease)
-                    ref = targets[widx].lease.remote(lease, cycle)
-                    desc = (lease, cycle)
-                    _tm["chunks"] += len(lease)
-                    _tm["leases"] += 1
-                else:
-                    take_ref, off, size, ck, _sid = work_q.popleft()
-                    rows = size
-                    ref = targets[widx].process_range.remote(
-                        take_ref, off, size, cycle, ck
-                    )
-                    desc = (take_ref, off, size, cycle, ck)
-                    _tm["chunks"] += 1
-                inflight[ref] = (widx, rows, desc)
-                outstanding[widx] += 1
-                inflight_rows += rows
-            _tm["dispatch"] += _time.perf_counter() - _t
-            if inflight:
-                # block for one completion, then sweep up everything
-                # else already finished — one driver pass per sweep
-                _t = _time.perf_counter()
-                done, _ = ray.wait(
-                    list(inflight), num_returns=1, fetch_local=True
-                )
-                extra, _ = ray.wait(
-                    [r for r in inflight if r != done[0]],
-                    num_returns=len(inflight) - 1,
-                    timeout=0,
-                    fetch_local=True,
-                )
-                done += extra
-                for r in done:
-                    tidx, rows, desc = inflight.pop(r)
-                    outstanding[tidx] -= 1
-                    inflight_rows -= rows
-                    unacked.setdefault(tidx, []).append(desc)
-                _tm["sweeps"] += 1
-                _t2 = _time.perf_counter()
-                _tm["wait"] += _t2 - _t
-                absorb(ray.get(done))
-                _tm["absorb"] += _time.perf_counter() - _t2
-                continue
-            # pipeline empty: drain worker offer buffers, then re-check
-            _t = _time.perf_counter()
-            if self._route_refs:
-                ray.get(self._route_refs)
-                self._route_refs.clear()
-            drain_workers()
-            last_counts = self._call("counts")
-            pending = sum(sum(c.values()) for c in last_counts)
-            _tm["stall"] += _time.perf_counter() - _t
-            if pending == 0 or (max_urls is not None and processed >= max_urls):
-                break
-            starved = False
-            if refill_sync() == 0:
-                # all remaining rows deferred: advance the clock
-                nbs = [
-                    x
-                    for x in self._call("min_not_before")
-                    if x is not None
-                ]
-                if not nbs:
-                    break
-                clock_us = max(clock_us + epoch_us, min(nbs))
-                starved = False
-
-        _t = _time.perf_counter()
-        if self._route_refs:
-            ray.get(self._route_refs)
-            self._route_refs.clear()
-        lineage_flush()  # drains inflight + workers itself
-        self._record_stats(cycle, totals())
-        result = self._finish(cycle, cycles=cycle)
-        for d in tiers:  # per-run actors; workers/shards outlive them
-            try:
-                ray.kill(d, no_restart=True)
-            except Exception:
-                pass
-        self._tiers = []
-        _tm["final"] = _time.perf_counter() - _t
-        # driver-loop time budget, read by tools/dispatch_ceiling.py.
-        # Seconds: seed, refill (take waves), dispatch, wait, absorb,
-        # stall (empty-pipeline drains) and final (close-out); every
-        # bucket except `wait` is driver work, `wait` is blocked-on-
-        # completion idle (fetch_local transfer overlaps worker
-        # compute). Counts: cycles, chunks, sweeps, leases.
-        self._pull_timing = dict(_tm)
-        return result
 
     def _ingest_lineage(self, lineage: list[dict], epoch: int) -> None:
         self._last_shard_metrics = [rec["metrics"] for rec in lineage]
@@ -1949,10 +1282,10 @@ def resume_crawl(corpus: pa.Table, cfg: CrawlConfig) -> CrawlResult:
             pq.read_table(f, columns=["url_hash"])
             for f in processed_files
         ).combine_chunks()
-        splitter = CrawlWorkerStage._shard_split
-        holder = _route_holder(cfg)
         refs = []
-        for sid, sub in splitter(holder, processed):
+        for sid, sub in shard_split(
+            processed, cfg.num_shards, cfg.align_corpus_ranges
+        ):
             if cfg.mode == "ray":
                 refs.append(engine.shards[sid].mark_seen.remote(
                     wire.dump(sub.select(["url_hash"]))

@@ -121,6 +121,37 @@ def _digests_to_h64_tail(digests: Digests):
     return h64, raw[:, 8:]
 
 
+def shard_split(frontier_rows: pa.Table, num_shards: int, range_route: bool):
+    """Vectorized shard routing, shared by the workers and every
+    driver-side path (seeds, etag loads, resume replay) so a url_hash
+    has exactly one owning shard: the uint64 prefix of url_hash mod
+    ``num_shards`` — or, under ``range_route``, the top
+    ``log2(num_shards)`` bits of that prefix (the corpus shards' range
+    function, corpus_shards.py ``ShardedCorpus.route``), so frontier and
+    corpus partitions nest. Yields (shard id, rows) per non-empty
+    shard."""
+    if frontier_rows.num_rows == 0:  # all candidates pre-deduped
+        return
+    h64, _ = _digests_to_h64_tail(frontier_rows.column("url_hash"))
+    if range_route:
+        bits = num_shards.bit_length() - 1
+        sids = (
+            (h64 >> np.uint64(64 - bits)).astype(np.int64)
+            if bits
+            else np.zeros(len(h64), dtype=np.int64)
+        )
+    else:
+        sids = (h64 % np.uint64(num_shards)).astype(np.int64)
+    order = np.argsort(sids, kind="stable")
+    sorted_sids = sids[order]
+    bounds = np.r_[
+        0, np.flatnonzero(np.diff(sorted_sids)) + 1, len(sorted_sids)
+    ]
+    for b in range(len(bounds) - 1):
+        idxs = order[bounds[b] : bounds[b + 1]]
+        yield int(sorted_sids[bounds[b]]), frontier_rows.take(pa.array(idxs))
+
+
 def prepare_corpus(corpus: pa.Table) -> pa.Table:
     """Normalize the corpus for zero-copy broadcast: EVERY
     variable-width column cast to its large (int64-offset) type and
@@ -311,9 +342,6 @@ class CrawlWorkerStage:
                 "range_route requires a power-of-two shard count, got "
                 f"{self.num_shards}"
             )
-        self._shard_bits = (
-            self.num_shards.bit_length() - 1 if range_route else 0
-        )
         self.docs_dir = docs_dir
         self._write_salt = os.urandom(8)  # unique doc part names per run
         self._doc_seq = 0
@@ -475,34 +503,6 @@ class CrawlWorkerStage:
 
     # -- candidate routing -------------------------------------------------
 
-    def _shard_split(self, frontier_rows: pa.Table):
-        """Vectorized shard routing: uint64 prefix of url_hash mod S —
-        or, under ``range_route``, the top ``log2(S)`` bits of that
-        prefix (the corpus shards' range function, corpus_shards.py
-        ``ShardedCorpus.route``), so frontier and corpus partitions
-        nest."""
-        if frontier_rows.num_rows == 0:  # all candidates pre-deduped
-            return
-        h64, _ = _digests_to_h64_tail(frontier_rows.column("url_hash"))
-        if getattr(self, "range_route", False):
-            sids = (
-                (h64 >> np.uint64(64 - self._shard_bits)).astype(np.int64)
-                if self._shard_bits
-                else np.zeros(len(h64), dtype=np.int64)
-            )
-        else:
-            sids = (h64 % np.uint64(self.num_shards)).astype(np.int64)
-        order = np.argsort(sids, kind="stable")
-        sorted_sids = sids[order]
-        bounds = np.r_[
-            0, np.flatnonzero(np.diff(sorted_sids)) + 1, len(sorted_sids)
-        ]
-        for b in range(len(bounds) - 1):
-            idxs = order[bounds[b] : bounds[b + 1]]
-            yield int(sorted_sids[bounds[b]]), frontier_rows.take(
-                pa.array(idxs)
-            )
-
     OFFER_FLUSH_ROWS = 16_384
 
     def _offer(self, frontier_rows: pa.Table) -> int:
@@ -515,12 +515,10 @@ class CrawlWorkerStage:
         via Ray serialization/IPC contention at high worker counts.
         drain() is the ack point: it flushes the buffers and waits for
         every ObjectRef, returning the admitted count."""
+        parts = shard_split(frontier_rows, self.num_shards, self.range_route)
         if self._local:
-            return sum(
-                self.shards[sid].offer(sub)
-                for sid, sub in self._shard_split(frontier_rows)
-            )
-        for sid, sub in self._shard_split(frontier_rows):
+            return sum(self.shards[sid].offer(sub) for sid, sub in parts)
+        for sid, sub in parts:
             self._offer_buf.setdefault(sid, []).append(sub)
             self._buf_rows[sid] = self._buf_rows.get(sid, 0) + sub.num_rows
             if self._buf_rows[sid] >= self.OFFER_FLUSH_ROWS:
@@ -630,7 +628,9 @@ class CrawlWorkerStage:
                     [RETRY_QUEUE] * retriable.num_rows, pa.string()
                 ),
             ).select(names)
-            for sid, sub in self._shard_split(retriable):
+            for sid, sub in shard_split(
+                retriable, self.num_shards, self.range_route
+            ):
                 if self._local:
                     self.shards[sid].requeue(sub)
                 else:
@@ -690,7 +690,9 @@ class CrawlWorkerStage:
                 "not_before",
                 pa.array(defer_until, pa.int64()),
             )
-            for sid, sub in self._shard_split(deferred):
+            for sid, sub in shard_split(
+                deferred, self.num_shards, self.range_route
+            ):
                 if self._local:
                     self.shards[sid].requeue(sub)
                 else:

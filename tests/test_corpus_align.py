@@ -36,23 +36,10 @@ def _frontier_rows(corpus):
     )
 
 
-def _holder(num_shards: int, range_route: bool):
-    bits = num_shards.bit_length() - 1
-    return type(
-        "S",
-        (),
-        {
-            "num_shards": num_shards,
-            "range_route": range_route,
-            "_shard_bits": bits if range_route else 0,
-        },
-    )()
-
-
 def test_range_route_nests_in_corpus_ranges(corpus):
     """Every url lands on the frontier shard whose hash range contains
     (C >= S) or is contained by (C < S) its corpus shard's range."""
-    from raycrawl.stages.fetch import CrawlWorkerStage, _digests_to_h64_tail
+    from raycrawl.stages.fetch import _digests_to_h64_tail, shard_split
 
     rows = _frontier_rows(corpus)
     digests = rows.column("url_hash").to_pylist()
@@ -60,7 +47,7 @@ def test_range_route_nests_in_corpus_ranges(corpus):
 
     S = 4
     sids = np.full(len(digests), -1, dtype=np.int64)
-    for sid, sub in CrawlWorkerStage._shard_split(_holder(S, True), rows):
+    for sid, sub in shard_split(rows, S, True):
         idx = [digests.index(d) for d in sub.column("url_hash").to_pylist()]
         sids[idx] = sid
     assert (sids >= 0).all()
@@ -76,7 +63,7 @@ def test_range_route_nests_in_corpus_ranges(corpus):
 
     # default router unchanged: mod, not range
     mod_sids = np.full(len(digests), -1, dtype=np.int64)
-    for sid, sub in CrawlWorkerStage._shard_split(_holder(S, False), rows):
+    for sid, sub in shard_split(rows, S, False):
         idx = [digests.index(d) for d in sub.column("url_hash").to_pylist()]
         mod_sids[idx] = sid
     assert np.array_equal(mod_sids, (h64 % np.uint64(S)).astype(np.int64))

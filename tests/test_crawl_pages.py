@@ -510,6 +510,46 @@ def test_pull_dispatch_tier_matches_oracle_and_resumes(
     _check_against_oracle(corpus, resumed, oracle)
 
 
+@pytest.mark.parametrize("tiers", [0, 2], ids=["pull", "pull-tier"])
+def test_pull_driver_rows(corpus, oracle, tmp_path, ray_session, tiers):
+    """The pull scheduler's phase timers and dispatch counters leave as
+    ``driver.*`` rows of the metrics table: every dispatched chunk holds
+    at most fetch_batch_size rows, leases exist only under the tier, and
+    the phase buckets fit inside the wall time of run()."""
+    import time
+
+    from raycrawl.pipelines.scheduler import COUNTS, PHASES, driver_rows
+
+    cfg = CrawlConfig(
+        state_dir=str(tmp_path / "state"),
+        mode="ray",
+        num_shards=3,
+        fetch_concurrency=4,
+        fetch_batch_size=16,
+        node_dispatchers=tiers,
+    )
+    engine = CrawlEngine(corpus, cfg)
+    try:
+        t0 = time.perf_counter()
+        result = engine.run(seeds=default_seeds(2))
+        wall_us = (time.perf_counter() - t0) * 1e6
+    finally:
+        engine.close()
+    _check_against_oracle(corpus, result, oracle)
+    rows = driver_rows(result.metrics)
+    buckets = [f"{p}_us" for p in PHASES]
+    assert set(rows) == set(buckets) | set(COUNTS)
+    attempts = sum(
+        m["value"] for m in result.metrics.to_pylist() if m["name"] == "fetch"
+    )
+    assert attempts > 0
+    assert rows["chunks"] >= -(-attempts // cfg.fetch_batch_size)
+    assert (rows["leases"] > 0) == bool(tiers)
+    assert rows["waves"] > 0 and rows["sweeps"] > 0
+    assert all(rows[b] >= 0 for b in buckets)
+    assert sum(rows[b] for b in buckets) <= wall_us
+
+
 def test_fetcher_injection(corpus, tmp_path):
     """X3 component injection (crawlerFactory.js:168-179; the golden
     tests swap the fetcher, processingTests.js:93-109): any class with
@@ -720,8 +760,9 @@ def test_dispatcher_death_recovers_via_resume(tmp_path, ray_session):
         manifest = state / "manifest.json"
         while _time.time() - t0 < 60 and not manifest.exists():
             _time.sleep(0.01)
-        if getattr(engine, "_tiers", []):
-            ray.kill(engine._tiers[0], no_restart=True)
+        scheduler = engine.scheduler
+        if scheduler is not None and scheduler.dispatchers:
+            ray.kill(scheduler.dispatchers[0], no_restart=True)
 
     killer = threading.Thread(target=assassin)
     killer.start()

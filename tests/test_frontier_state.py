@@ -334,21 +334,18 @@ def test_robots_group_selection():
 
 
 def test_shard_routing_consistency():
-    """Driver-side shard_of and the worker's vectorized _shard_split
+    """Driver-side shard_of and the vectorized shard_split
     MUST agree — a url_hash has exactly one owning shard."""
     import hashlib
 
     from raycrawl.functions.urlnorm import shard_of
-    from raycrawl.stages.fetch import CrawlWorkerStage
+    from raycrawl.stages.fetch import shard_split
 
     rows = _rows([f"http://h{i}.com/{i}" for i in range(200)])
     digests = rows.column("url_hash").to_pylist()
     for num_shards in (1, 3, 8):
         split = {}
-        gen = CrawlWorkerStage._shard_split(
-            type("X", (), {"num_shards": num_shards})(), rows
-        )
-        for sid, sub in gen:
+        for sid, sub in shard_split(rows, num_shards, False):
             for d in sub.column("url_hash").to_pylist():
                 split[d] = sid
         for d in digests:

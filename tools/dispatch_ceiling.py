@@ -2,16 +2,18 @@
 """Measure the pull executor's single-driver dispatch ceiling.
 
 The continuous (pull) executor funnels every chunk through one driver
-loop (`CrawlEngine._run_pull`): take-wave refill, per-chunk dispatch,
-completion sweep, batch-stats absorb. On this sandbox that loop serves
-~27 workers; a fixed multi-node cluster has hundreds. This tool measures
-what the loop actually costs per chunk and extrapolates the worker
-count at which the driver saturates (utilization -> 1.0, workers start
-idling on dispatch latency).
+loop (`PullScheduler` in `raycrawl/pipelines/scheduler.py`): take-wave
+refill, per-chunk dispatch, completion sweep, batch-stats absorb. On
+the 32-CPU host that loop serves ~27 workers; a fixed multi-node
+cluster has hundreds. This tool measures what the loop actually costs
+per chunk and extrapolates the worker count at which the driver
+saturates (utilization -> 1.0, workers start idling on dispatch
+latency).
 
 Protocol: run the bench-shaped crawl at two worker-pool sizes in one
 Ray session, recording for each
-  - wall time and chunks dispatched (engine._pull_timing, exact),
+  - wall time and chunks dispatched (the crawl's `driver.*` metric
+    rows, read with `scheduler.driver_rows`; exact),
   - the driver-loop time budget (every bucket except `wait`, which is
     blocked-on-completion idle),
   - the driver PROCESS CPU time (getrusage, all threads — includes the
@@ -52,6 +54,7 @@ def measure(workers: int, corpus, num_shards: int, reserve: int) -> dict:
 
     from raycrawl.corpus import seeds_for_corpus
     from raycrawl.pipelines.crawl import CrawlConfig, CrawlEngine
+    from raycrawl.pipelines.scheduler import PHASES, driver_rows
 
     # RAYCRAWL_DISPATCHERS=N measures the tiered mode (NodeDispatcher
     # leases): driver cost per work unit should drop by ~group size.
@@ -77,24 +80,23 @@ def measure(workers: int, corpus, num_shards: int, reserve: int) -> dict:
     cpu0, t0 = _rusage(), time.perf_counter()
     result = engine.run(seeds=seeds)
     wall, cpu = time.perf_counter() - t0, _rusage() - cpu0
-    tm = engine._pull_timing
+    rows = driver_rows(result.metrics)
     engine.close()
     shutil.rmtree(state, ignore_errors=True)
 
-    chunks = tm["chunks"]
+    tm = {p: rows[f"{p}_us"] / 1e6 for p in PHASES}
+    chunks = rows["chunks"]
     # fixed (once-per-crawl) phases don't scale with chunk rate: seeding
     # and the final drain/flush. Everything else in the loop is work the
     # driver repeats per chunk/cycle and is what saturates first.
     fixed = tm["seed"] + tm["final"]
     loop_busy = sum(
-        v for k, v in tm.items()
-        if k not in ("wait", "seed", "final", "cycles", "chunks",
-                     "sweeps", "leases")
+        v for k, v in tm.items() if k not in ("wait", "seed", "final")
     )
     steady_wall = max(1e-9, wall - fixed)
     cpu_steady = max(0.0, cpu - fixed)  # fixed phases are ~CPU-bound too
     # one driver RPC per lease under the tier, per chunk when flat
-    rpcs = tm["leases"] if dispatchers else chunks
+    rpcs = rows["leases"] if dispatchers else chunks
     return {
         "workers": workers,
         "node_dispatchers": dispatchers,
@@ -104,7 +106,7 @@ def measure(workers: int, corpus, num_shards: int, reserve: int) -> dict:
         "chunks": chunks,
         "driver_rpcs": rpcs,
         "proc_cpu_ms_per_rpc": round(1e3 * cpu_steady / max(1, rpcs), 3),
-        "sweeps": tm["sweeps"],
+        "sweeps": rows["sweeps"],
         "chunks_per_sec": round(chunks / steady_wall, 1),
         "per_worker_chunks_per_sec": round(
             chunks / steady_wall / workers, 3
@@ -122,8 +124,7 @@ def measure(workers: int, corpus, num_shards: int, reserve: int) -> dict:
         "ceiling_workers_proc_cpu": int(
             workers / max(1e-9, cpu_steady / steady_wall)
         ),
-        "timing_buckets": {k: round(v, 3) if isinstance(v, float) else v
-                           for k, v in tm.items()},
+        "driver_rows": rows,
     }
 
 
