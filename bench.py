@@ -56,6 +56,8 @@ QUERY_NAMES = [
     "window_hopping_counts",
     "token_quantiles_by_lang",
     "bm25_search_topk",
+    "term_doc_frequency",
+    "tfidf_topk_terms",
     "kmv_distinct_users",
     "dedup_keep_best",
     "importance_sample",

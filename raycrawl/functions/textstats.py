@@ -1,11 +1,12 @@
 """Text analysis kernels for large-scale training-data pipelines.
 
-Vectorized (numpy / compiled-regex) per-batch functions intended to run
-inside ``map_batches``: token counting, language-ID heuristic, quality
+Vectorized (Arrow / numpy) per-batch functions intended to run inside
+``map_batches``: token counting, language-ID heuristic, quality
 scoring, document fingerprinting. All deterministic and seedless.
 
 The token regex is deliberately ASCII-explicit so the DuckDB oracle
-(`regexp_extract_all`) tokenizes byte-identically.
+(`regexp_extract_all`) and Arrow's RE2 kernels tokenize
+byte-identically to Python's ``re``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import re
 
 import numpy as np
+import pyarrow.compute as pc
 
 # BPE-ish word/punct tokenizer — keep in sync with TOKEN_REGEX_SQL.
 # Whitespace is the EXPLICIT class [ \t\n\r\f\v] in BOTH engines:
@@ -38,16 +40,21 @@ _STOPWORDS = {
 }
 
 
+def _match_counts(texts, regex: re.Pattern) -> np.ndarray:
+    """len(regex.findall(t)) per text (an Arrow string column or a
+    list), counted by Arrow's RE2 kernel: the patterns here use only
+    syntax that RE2 and ``re`` read alike."""
+    return pc.count_substring_regex(texts, regex.pattern).to_numpy().astype(
+        np.int64
+    )
+
+
 def token_counts_batch(texts) -> np.ndarray:
-    findall = TOKEN_REGEX.findall
-    return np.fromiter((len(findall(t)) for t in texts), dtype=np.int64,
-                       count=len(texts))
+    return _match_counts(texts, TOKEN_REGEX)
 
 
 def punct_counts_batch(texts) -> np.ndarray:
-    findall = PUNCT_REGEX.findall
-    return np.fromiter((len(findall(t)) for t in texts), dtype=np.int64,
-                       count=len(texts))
+    return _match_counts(texts, PUNCT_REGEX)
 
 
 def langid(text: str) -> str:
@@ -105,26 +112,25 @@ def langid_batch(texts) -> list[str]:
     return out
 
 
-def quality_score(text: str) -> float:
-    """Heuristic quality in [0,1]: length band + word length sanity +
-    punctuation ratio (the usual pretraining-filter features)."""
-    n = len(text)
-    if n == 0:
-        return 0.0
-    n_words = len(WORD_REGEX.findall(text))
-    if n_words == 0:
-        return 0.0
-    mean_wl = (n - (n_words - 1)) / n_words
-    punct = len(PUNCT_REGEX.findall(text))
-    punct_ratio = punct / n
-    score = 1.0
-    if n < 32 or n > 100_000:
-        score *= 0.5
-    if mean_wl < 2 or mean_wl > 12:
-        score *= 0.5
-    if punct_ratio > 0.2:
-        score *= 0.5
-    return round(score, 4)
+def quality_scores_batch(texts) -> np.ndarray:
+    """Heuristic quality in [0,1] per text: length band + word length
+    sanity + punctuation ratio (the usual pretraining-filter features).
+    A text without words scores 0; otherwise each failed check halves
+    1.0 — n code points outside [32, 100000], mean word length
+    (n - (words - 1)) / words outside [2, 12], punct / n above 0.2.
+    Three Arrow kernels per batch: code point length and the WORD/PUNCT
+    match counts."""
+    n = pc.utf8_length(texts).to_numpy().astype(np.int64)
+    n_words = _match_counts(texts, WORD_REGEX)
+    punct = _match_counts(texts, PUNCT_REGEX)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean_wl = (n - (n_words - 1)) / n_words
+        failed = (
+            ((n < 32) | (n > 100_000)).astype(np.int64)
+            + ((mean_wl < 2) | (mean_wl > 12))
+            + (punct / n > 0.2)
+        )
+    return np.where(n_words == 0, 0.0, 0.5 ** failed)
 
 
 _FP_BASE = np.uint64(1099511628211)  # FNV prime, reused as polynomial base

@@ -26,13 +26,15 @@ Each loop phase is one method, and one timer around them (``_timed``)
 keeps the driver's time budget. It leaves as ``driver.*`` rows of the
 crawl's metrics table (``driver_rows`` reads them back):
 
-- ``driver.{seed,refill,dispatch,wait,absorb,stall,final}_us``: µs the
-  driver spent in each phase. Every phase except ``wait`` is driver
-  work; ``wait`` is blocked-on-completion idle (the ``fetch_local``
-  transfer overlaps worker compute). ``stall`` is everything done
+- ``driver.{seed,start,refill,dispatch,wait,absorb,stall,checkpoint,
+  final}_us``: µs the driver spent in each phase. Every phase except
+  ``wait`` is driver work; ``wait`` is blocked-on-completion idle (the
+  ``fetch_local`` transfer overlaps worker compute). ``start`` is the
+  dispatcher bring-up and pid round trip; ``stall`` is everything done
   while the pipeline is empty (offer drain, counts poll, the re-poll
-  take wave and the idle clock tick); ``final`` is the close-out drain
-  and flush. Checkpoints inside the loop belong to no phase.
+  take wave and the idle clock tick); ``checkpoint`` is the in-loop
+  consistent cut every CHECKPOINT_CYCLES cycles; ``final`` is the
+  close-out drain and flush.
 - ``driver.waves`` (take waves opened), ``driver.chunks`` (chunks
   dispatched), ``driver.leases`` (dispatcher-tier RPCs; 0 when flat)
   and ``driver.sweeps`` (completion sweeps).
@@ -60,7 +62,10 @@ CHUNK_FLOOR = 192
 # a checkpoint (consistent cut + manifest) every this many cycles
 CHECKPOINT_CYCLES = 16
 
-PHASES = ("seed", "refill", "dispatch", "wait", "absorb", "stall", "final")
+PHASES = (
+    "seed", "start", "refill", "dispatch", "wait", "absorb", "stall",
+    "checkpoint", "final",
+)
 COUNTS = ("waves", "chunks", "leases", "sweeps")
 
 
@@ -246,7 +251,7 @@ class PullScheduler:
 
         try:
             self._timed("seed", self.seed, seeds)
-            self._start()
+            self._timed("start", self._start)
             while True:
                 if (
                     self.pending_take is None
@@ -264,7 +269,7 @@ class PullScheduler:
                         self.engine._sync_politeness()
                     self._timed("refill", self.refill)
                     if self.cycle - self.last_flushed_cycle >= CHECKPOINT_CYCLES:
-                        self.checkpoint()
+                        self._timed("checkpoint", self.checkpoint)
                 if self.pending_take is not None:
                     self._timed("refill", self.land)
                 self._timed("dispatch", self.dispatch)

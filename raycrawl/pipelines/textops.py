@@ -34,12 +34,11 @@ from ..functions.similarity import (
 from ..functions.textstats import (
     PUNCT_REGEX_SQL,
     TOKEN_REGEX_SQL,
-    WORD_REGEX,
     WORD_REGEX_SQL,
     fingerprints_batch,
     langid,
     punct_counts_batch,
-    quality_score,
+    quality_scores_batch,
     token_counts_batch,
 )
 from .analytics import _bounded, _read, query
@@ -68,6 +67,69 @@ _WORD_CACHE: dict[str, int] = {}
 
 
 # ---------------------------------------------------------------------------
+# Word tokenizer shared by every word-level operator: a batch is split
+# into WORD_REGEX words once, in Arrow (Sparser's columnar raw-text pass,
+# PAPERS), and each operator counts on the flat (word, row) arrays.
+# Terms stay Arrow strings or object arrays — a numpy 'U'/'S' array
+# drops trailing NULs and would merge 'a\x00' into 'a', which the
+# twins keep apart.
+# ---------------------------------------------------------------------------
+
+
+def _flat(a):
+    return a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
+
+
+def _tokens(texts) -> tuple[pa.Array, np.ndarray]:
+    """(words, doc): every WORD_REGEX word of the batch in order, and
+    the row it came from (non-decreasing). ascii_split_whitespace splits
+    on exactly WORD_REGEX's separator class [ \t\n\r\f\v] and leaves
+    an empty string around each extra separator; dropping those
+    reproduces WORD_REGEX.findall per row."""
+    lists = pc.ascii_split_whitespace(_flat(texts))
+    words = pc.list_flatten(lists)
+    keep = pc.not_equal(pc.binary_length(words), 0)
+    return (
+        words.filter(keep),
+        pc.list_parent_indices(lists).filter(keep).to_numpy(),
+    )
+
+
+def _term_counts(words, doc) -> pa.Table:
+    """(doc, term, tf): one row per distinct term of each doc."""
+    return (
+        pa.table({"doc": doc, "term": words})
+        .group_by(["doc", "term"])
+        .aggregate([([], "count_all")])
+        .rename_columns(["doc", "term", "tf"])
+    )
+
+
+def _term_stats(words, doc) -> pa.Table:
+    """(term, cf, df): occurrences and docs containing, per term."""
+    return (
+        _term_counts(words, doc)
+        .group_by("term")
+        .aggregate([("tf", "sum"), ([], "count_all")])
+        .rename_columns(["term", "cf", "df"])
+    )
+
+
+def _lookup(terms, vocab: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """vals at each term's position in the sorted object-array vocab
+    (every term must be in it): one searchsorted of the batch's
+    DISTINCT terms — no per-batch hash of the whole vocabulary."""
+    enc = pc.dictionary_encode(_flat(terms))
+    pos = np.searchsorted(vocab, enc.dictionary.to_numpy(zero_copy_only=False))
+    return vals[pos][enc.indices.to_numpy()]
+
+
+def _run_starts(doc: np.ndarray) -> np.ndarray:
+    """First index of each run of equal values in a sorted doc array."""
+    return np.flatnonzero(np.diff(doc, prepend=-1))
+
+
+# ---------------------------------------------------------------------------
 # Text analysis
 # ---------------------------------------------------------------------------
 
@@ -81,16 +143,15 @@ _WORD_CACHE: dict[str, int] = {}
 )
 def text_token_stats(sf_dir: str):
     """Token counting + punctuation stats, vectorized per batch with
-    compiled regexes (quality-scoring features)."""
+    Arrow's code point length and RE2 match counts (quality-scoring
+    features)."""
 
     def stats(t: pa.Table) -> pa.Table:
-        texts = t.column("text").to_pylist()
+        texts = t["text"]
         return pa.table(
             {
                 "doc_id": t["doc_id"],
-                "n_chars_calc": pa.array(
-                    [len(x) for x in texts], pa.int64()
-                ),
+                "n_chars_calc": pc.cast(pc.utf8_length(texts), pa.int64()),
                 "n_tokens": pa.array(token_counts_batch(texts), pa.int64()),
                 "n_punct": pa.array(punct_counts_batch(texts), pa.int64()),
             }
@@ -180,7 +241,9 @@ def langid_heuristic(sf_dir: str):
     )
 
 
-# mirrors functions/textstats.quality_score exactly: whitespace is
+# mirrors functions/textstats.quality_scores_batch exactly (LENGTH and
+# utf8_length both count code points; regexp_extract_all and
+# count_substring_regex both run RE2 on the same patterns): whitespace is
 # the EXPLICIT class [ \t\n\r\f\v] on BOTH sides (Python \s and RE2
 # \s disagree on \v/unicode spaces — ADVICE r1); score factors are
 # powers of 0.5 so round(.,4) is the identity on both sides. A module
@@ -210,11 +273,12 @@ _QUALITY_SQL = f"""
 @query("quality_scores", _QUALITY_SQL)
 def quality_scores(sf_dir: str):
     def score(t: pa.Table) -> pa.Table:
-        scores = [quality_score(x) for x in t.column("text").to_pylist()]
         return pa.table(
             {
                 "doc_id": t["doc_id"],
-                "quality": pa.array(scores, pa.float64()),
+                "quality": pa.array(
+                    quality_scores_batch(t["text"]), pa.float64()
+                ),
             }
         )
 
@@ -1800,8 +1864,7 @@ def pack_sequences(sf_dir: str):
             {
                 "doc_id": t["doc_id"],
                 "n_tokens": pa.array(
-                    token_counts_batch(t.column("text").to_pylist()),
-                    pa.int64(),
+                    token_counts_batch(t["text"]), pa.int64()
                 ),
             }
         )
@@ -2444,14 +2507,15 @@ def dedup_keep_best(sf_dir: str):
 
     def quality_rows(t: pa.Table) -> pa.Table:
         ids = t.column("doc_id").to_numpy()
-        scores = [quality_score(x) for x in t.column("text").to_pylist()]
         return pa.table(
             {
                 "doc_id": t["doc_id"],
                 "cluster_id": pa.array(
                     np.full(ids.size, -1, np.int64), pa.int64()
                 ),
-                "quality": pa.array(scores, pa.float64()),
+                "quality": pa.array(
+                    quality_scores_batch(t["text"]), pa.float64()
+                ),
                 "part": pa.array(_cc_part(ids, parts), pa.int64()),
             }
         )
@@ -2622,33 +2686,18 @@ def term_doc_frequency(sf_dir: str):
     total occurrences) and document frequency (df = docs containing) —
     the inputs to every tf-idf / BM25-style selection score. Classic
     pre-aggregate-then-shuffle: each batch emits ONE partial row per
-    distinct term it saw (cf via np.unique counts over the batch's
-    flattened words, df via per-doc uniques), so the shuffle carries
+    distinct term it saw (the shared _term_stats: an Arrow group_by
+    over (doc, term) then over term), so the shuffle carries
     O(batches x batch-vocab) rows — vocabulary-sized, never
     token-stream-sized — and the final combine is a vectorized Arrow
     group_by sum per hash partition (the text_exact_dedup pattern)."""
     parts = _pool_size()
 
     def partial(t: pa.Table) -> pa.Table:
-        texts = t.column("text").to_pylist()
-        per_doc = [WORD_REGEX.findall(x) for x in texts]
-        flat = np.concatenate(
-            [np.array(w, dtype=object) for w in per_doc if w]
-        ) if any(per_doc) else np.array([], dtype=object)
-        terms, cf = np.unique(flat.astype(str), return_counts=True)
-        doc_terms = np.concatenate(
-            [np.unique(np.array(w, dtype=str)) for w in per_doc if w]
-        ) if any(per_doc) else np.array([], dtype=str)
-        dterms, df = np.unique(doc_terms, return_counts=True)
-        # identical term sets by construction (df's terms are a subset
-        # of cf's with the same uniques); np.unique sorts both
-        return pa.table(
-            {
-                "term": pa.array(terms.tolist(), pa.string()),
-                "cf": pa.array(cf, pa.int64()),
-                "df": pa.array(df, pa.int64()),
-                "part": pa.array(_term_part(terms, parts), pa.int64()),
-            }
+        st = _term_stats(*_tokens(t["text"]))
+        terms = st["term"].to_numpy()
+        return st.append_column(
+            "part", pa.array(_term_part(terms, parts), pa.int64())
         )
 
     def combine(g: pa.Table) -> pa.Table:
@@ -2670,37 +2719,52 @@ def term_doc_frequency(sf_dir: str):
 
 
 def _corpus_vocab(sf_dir: str):
-    """Distributed corpus-frequency vocabulary build shared by
-    doc_commonness and importance_sample: per-batch (term, cf)
-    partials — vocabulary-sized, never token-stream-sized — combined
-    on the driver (bounded by the corpus VOCABULARY, the same class
-    of bounded combine as decontaminate_overlap's benchmark vocab)
-    into a sorted term array + aligned counts ready for one ray.put
-    broadcast and searchsorted probing."""
+    """Distributed corpus vocabulary build shared by doc_commonness,
+    importance_sample and tfidf_topk_terms: per-batch (term, cf, df)
+    partials (_term_stats, as term_doc_frequency) — vocabulary-sized,
+    never token-stream-sized — combined on the driver (bounded by the
+    corpus VOCABULARY, the same class of bounded combine as
+    decontaminate_overlap's benchmark vocab) into a sorted object
+    array of terms + aligned cf and df, ready for one ray.put
+    broadcast and _lookup probing. The combine stays in Arrow (a
+    pandas groupby hashes string keys up to the first NUL); promotion
+    absorbs the schema-less blocks of empty read splits."""
+    import ray
 
-    def cf_partial(t: pa.Table) -> pa.Table:
-        texts = t.column("text").to_pylist()
-        per_doc = [WORD_REGEX.findall(x) for x in texts]
-        flat = np.concatenate(
-            [np.array(w, dtype=str) for w in per_doc if w]
-        ) if any(per_doc) else np.array([], dtype=str)
-        terms, cf = np.unique(flat, return_counts=True)
-        return pa.table(
-            {
-                "term": pa.array(terms.tolist(), pa.string()),
-                "cf": pa.array(cf, pa.int64()),
-            }
-        )
-
-    partials = (
+    refs = (
         _read(sf_dir, "documents", ["text"])
-        .map_batches(cf_partial, batch_format="pyarrow")
-        .to_pandas()  # bounded: corpus vocabulary only
+        .map_batches(
+            lambda t: _term_stats(*_tokens(t["text"])),
+            batch_format="pyarrow",
+        )
+        .to_arrow_refs()  # bounded: corpus vocabulary only
     )
-    agg = partials.groupby("term")["cf"].sum()
-    vocab = np.array(agg.index.to_numpy(), dtype=str)
-    order = np.argsort(vocab)
-    return vocab[order], agg.to_numpy()[order]
+    agg = (
+        pa.concat_tables(ray.get(refs), promote_options="default")
+        .group_by("term")
+        .aggregate([("cf", "sum"), ("df", "sum")])
+        .sort_by("term")
+    )
+    return (
+        agg["term"].to_numpy(),
+        agg["cf_sum"].to_numpy(),
+        agg["df_sum"].to_numpy(),
+    )
+
+
+def _doc_commonness(texts, vocab: np.ndarray, cf: np.ndarray):
+    """(row, n_words, freq_sum, rarest_cf) for every row with at least
+    one word: the corpus cf of each word, summed and minimized per
+    row."""
+    words, doc = _tokens(texts)
+    f = _lookup(words, vocab, cf)
+    starts = _run_starts(doc)
+    return (
+        doc[starts],
+        np.diff(np.r_[starts, doc.size]),
+        np.add.reduceat(f, starts),
+        np.minimum.reduceat(f, starts),
+    )
 
 
 @query(
@@ -2726,53 +2790,32 @@ def doc_commonness(sf_dir: str):
     rarest token — high sums flag boilerplate/template text, low
     rarest_cf flags docs carrying rare vocabulary. Two passes:
 
-      pass 1  per-batch (term, cf) partials — vocabulary-sized, never
-              token-stream-sized — combined on the driver (bounded by
-              the corpus VOCABULARY, the same class of bounded combine
-              as decontaminate_overlap's benchmark vocab; ~10^7 terms
-              = ~100 MB at web scale) and broadcast ONCE via ray.put
-              as a sorted term array + aligned counts,
-      pass 2  per-batch scoring: each doc's words probe the vocab with
-              ONE searchsorted; per-doc sums/mins reduce with
-              np.add.reduceat / minimum.reduceat (the
-              decontaminate_overlap kernel shape).
+      pass 1  the shared _corpus_vocab build — per-batch (term, cf,
+              df) partials, vocabulary-sized, never token-stream-sized,
+              combined on the driver (bounded by the corpus VOCABULARY;
+              ~10^7 terms = ~100 MB at web scale) — broadcast ONCE via
+              ray.put as a sorted term array + aligned counts,
+      pass 2  per-batch scoring (_doc_commonness): the batch's words
+              come from one Arrow split, its DISTINCT terms probe the
+              vocab with one searchsorted, and per-doc sums/mins reduce
+              with np.add.reduceat / minimum.reduceat.
 
     Docs with zero words are absent from the output on both sides (the
-    SQL GROUP BY only sees docs with at least one token); none exist
-    in the corpus (min length asserted in tests)."""
+    SQL GROUP BY only sees docs with at least one token)."""
     import ray
 
-    bcast = ray.put(_corpus_vocab(sf_dir))
+    bcast = ray.put(_corpus_vocab(sf_dir)[:2])
 
     def score(t: pa.Table) -> pa.Table:
-        vocab, counts = ray.get(bcast)
-        ids = t.column("doc_id").to_numpy()
-        texts = t.column("text").to_pylist()
-        per_doc = [WORD_REGEX.findall(x) for x in texts]
-        lens = np.array([len(w) for w in per_doc], dtype=np.int64)
-        keep = np.flatnonzero(lens)
-        if not keep.size:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "n_words": pa.array([], pa.int64()),
-                    "freq_sum": pa.array([], pa.int64()),
-                    "rarest_cf": pa.array([], pa.int64()),
-                }
-            )
-        flat = np.concatenate(
-            [np.array(per_doc[i], dtype=str) for i in keep]
+        row, n_words, freq_sum, rarest = _doc_commonness(
+            t["text"], *ray.get(bcast)
         )
-        f = counts[np.searchsorted(vocab, flat)]  # every word is in vocab
-        bounds = np.r_[0, np.cumsum(lens[keep])[:-1]]
         return pa.table(
             {
-                "doc_id": pa.array(ids[keep], pa.int64()),
-                "n_words": pa.array(lens[keep], pa.int64()),
-                "freq_sum": pa.array(np.add.reduceat(f, bounds), pa.int64()),
-                "rarest_cf": pa.array(
-                    np.minimum.reduceat(f, bounds), pa.int64()
-                ),
+                "doc_id": pa.array(t["doc_id"].to_numpy()[row], pa.int64()),
+                "n_words": pa.array(n_words, pa.int64()),
+                "freq_sum": pa.array(freq_sum, pa.int64()),
+                "rarest_cf": pa.array(rarest, pa.int64()),
             }
         )
 
@@ -2841,55 +2884,28 @@ def importance_sample(sf_dir: str):
     the DuckDB twin mirrors it in HUGEINT, so keep decisions compare
     exact integers on both sides. Two passes: the shared bounded
     vocab build + one broadcast, then a shuffle-free per-batch scoring
-    filter (searchsorted + reduceat — the doc_commonness kernel).
-    Zero-word docs are absent on both sides (none exist; asserted)."""
+    filter on the doc_commonness per-doc step (_doc_commonness).
+    Zero-word docs are absent on both sides."""
     import ray
 
-    vocab, counts = _corpus_vocab(sf_dir)
-    total_tokens = int(counts.sum())
-    bcast = ray.put((vocab, counts))
+    vocab, cf, _ = _corpus_vocab(sf_dir)
+    num = int(cf.sum()) << 32  # Python int: exact at any corpus size
+    bcast = ray.put((vocab, cf))
 
     def samp(t: pa.Table) -> pa.Table:
-        vocab, counts = ray.get(bcast)
-        ids = t.column("doc_id").to_numpy()
-        texts = t.column("text").to_pylist()
-        per_doc = [WORD_REGEX.findall(x) for x in texts]
-        lens = np.array([len(w) for w in per_doc], dtype=np.int64)
-        keep = np.flatnonzero(lens)
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "n_words": pa.array([], pa.int64()),
-                "keep_thr": pa.array([], pa.int64()),
-            }
-        )
-        if not keep.size:
-            return empty
-        flat = np.concatenate(
-            [np.array(per_doc[i], dtype=str) for i in keep]
-        )
-        f = counts[np.searchsorted(vocab, flat)]  # every word is in vocab
-        bounds = np.r_[0, np.cumsum(lens[keep])[:-1]]
-        fsum = np.add.reduceat(f, bounds)
-        nw = lens[keep]
-        num = total_tokens << 32  # Python int: exact at any T
-        thr = np.fromiter(
-            (
-                min(1 << 32, (num * int(n)) // (_IMPORTANCE_K * int(fs)))
-                for n, fs in zip(nw, fsum)
-            ),
-            dtype=np.int64,
-            count=nw.size,
-        )
-        h = (
-            ids[keep].astype(np.uint64) * np.uint64(2246822519)
-        ) % np.uint64(1 << 32)
-        hit = h < thr.astype(np.uint64)
-        if not hit.any():
-            return empty
+        row, nw, fsum, _ = _doc_commonness(t["text"], *ray.get(bcast))
+        # object arrays keep Python-int arithmetic per doc
+        nw_o, fsum_o = nw.astype(object), fsum.astype(object)
+        thr = np.minimum(
+            1 << 32, (num * nw_o) // (_IMPORTANCE_K * fsum_o)
+        ).astype(np.int64)
+        ids = t["doc_id"].to_numpy()[row]
+        hit = (ids.astype(np.uint64) * np.uint64(2246822519)) % np.uint64(
+            1 << 32
+        ) < thr.astype(np.uint64)
         return pa.table(
             {
-                "doc_id": pa.array(ids[keep][hit], pa.int64()),
+                "doc_id": pa.array(ids[hit], pa.int64()),
                 "n_words": pa.array(nw[hit], pa.int64()),
                 "keep_thr": pa.array(thr[hit], pa.int64()),
             }
@@ -2937,9 +2953,7 @@ def _token_quantiles_oracle_sql() -> str:
 def _token_count_partials(t: pa.Table) -> pa.Table:
     """Per-batch (lang, n_tokens) -> count compression (the combiner):
     the shuffle carries distinct-value rows, never documents."""
-    n = np.asarray(
-        token_counts_batch(t.column("text").to_pylist()), np.int64
-    )
+    n = token_counts_batch(t["text"])
     g = pa.table(
         {"lang": t["lang"], "n_tokens": pa.array(n, pa.int64())}
     ).group_by(["lang", "n_tokens"]).aggregate([([], "count_all")])
@@ -3029,9 +3043,7 @@ def quality_floor_filter(sf_dir: str):
 
     def keep(t: pa.Table) -> pa.Table:
         b_langs, b_floors = ray.get(floors_ref)
-        n = np.asarray(
-            token_counts_batch(t.column("text").to_pylist()), np.int64
-        )
+        n = token_counts_batch(t["text"])
         ls = np.asarray(t.column("lang").to_pylist(), dtype=str)
         fl = b_floors[np.searchsorted(b_langs, ls)]
         mask = n >= fl
@@ -3096,76 +3108,45 @@ def tfidf_topk_terms(sf_dir: str):
     """Top-{k} tf-idf terms per document (see the family comment
     above). Two passes, the doc_commonness shape:
 
-      pass 1  per-batch (term, docs-containing) partials —
-              vocabulary-sized, never token-stream-sized — combined on
-              the driver (bounded by the corpus VOCABULARY) and
-              broadcast ONCE via ray.put as a sorted term array +
-              aligned scaled-int idf,
-      pass 2  per-batch scoring, shuffle-free: each doc's distinct
-              terms probe the vocab with ONE searchsorted; top-k picks
-              via lexsort on (-score, term). Per-doc output is k rows,
-              so the result stream is k x docs regardless of
-              vocabulary or document length.
+      pass 1  the shared _corpus_vocab build; its df column becomes a
+              scaled-int idf aligned with the sorted term array,
+              broadcast ONCE via ray.put,
+      pass 2  per-batch scoring, shuffle-free: per-(doc, term) tf from
+              one Arrow group_by (_term_counts), the DISTINCT terms
+              probe the vocab with one searchsorted (_lookup), then one
+              sort on (doc ASC, score DESC, term ASC) and a rank within
+              each doc. Per-doc output is k rows, so the result stream
+              is k x docs regardless of vocabulary or document length.
     """
     import ray
 
     n_docs = float(
         pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
     )
-
-    def df_partial(t: pa.Table) -> pa.Table:
-        texts = t.column("text").to_pylist()
-        per_doc = [WORD_REGEX.findall(x) for x in texts]
-        doc_terms = np.concatenate(
-            [np.unique(np.array(w, dtype=str)) for w in per_doc if w]
-        ) if any(per_doc) else np.array([], dtype=str)
-        terms, df = np.unique(doc_terms, return_counts=True)
-        return pa.table(
-            {
-                "term": pa.array(terms.tolist(), pa.string()),
-                "df": pa.array(df, pa.int64()),
-            }
-        )
-
-    partials = (
-        _read(sf_dir, "documents", ["text"])
-        .map_batches(df_partial, batch_format="pyarrow")
-        .to_pandas()  # bounded: corpus vocabulary only
-    )
-    agg = partials.groupby("term")["df"].sum()
-    vocab = np.array(agg.index.to_numpy(), dtype=str)
-    order = np.argsort(vocab)
-    vocab = vocab[order]
-    idf = np.floor(
-        np.log(n_docs / agg.to_numpy()[order]) * _IDF_SCALE + 0.5
-    ).astype(np.int64)
+    vocab, _, df = _corpus_vocab(sf_dir)
+    idf = np.floor(np.log(n_docs / df) * _IDF_SCALE + 0.5).astype(np.int64)
     bcast = ray.put((vocab, idf))
 
     def topk(t: pa.Table) -> pa.Table:
-        b_vocab, b_idf = ray.get(bcast)
-        ids = t.column("doc_id").to_numpy()
-        texts = t.column("text").to_pylist()
-        out_id: list[int] = []
-        out_term: list[str] = []
-        out_score: list[int] = []
-        out_rank: list[int] = []
-        for i, x in enumerate(texts):
-            words = WORD_REGEX.findall(x)
-            if not words:
-                continue
-            u, c = np.unique(np.array(words, dtype=str), return_counts=True)
-            sc = c * b_idf[np.searchsorted(b_vocab, u)]
-            sel = np.lexsort((u, -sc))[:_TFIDF_K]
-            out_id.extend([int(ids[i])] * sel.size)
-            out_term.extend(u[sel].tolist())
-            out_score.extend(sc[sel].tolist())
-            out_rank.extend(range(1, sel.size + 1))
+        tc = _term_counts(*_tokens(t["text"]))
+        score = tc["tf"].to_numpy() * _lookup(tc["term"], *ray.get(bcast))
+        tc = tc.append_column("score", pa.array(score, pa.int64())).sort_by(
+            [("doc", "ascending"), ("score", "descending"),
+             ("term", "ascending")]
+        )
+        doc = tc["doc"].to_numpy()
+        starts = _run_starts(doc)
+        rank = np.arange(1, doc.size + 1) - np.repeat(
+            starts, np.diff(np.r_[starts, doc.size])
+        )
+        keep = rank <= _TFIDF_K
+        ids = t["doc_id"].to_numpy()
         return pa.table(
             {
-                "doc_id": pa.array(out_id, pa.int64()),
-                "term": pa.array(out_term, pa.string()),
-                "score": pa.array(out_score, pa.int64()),
-                "rank": pa.array(out_rank, pa.int64()),
+                "doc_id": pa.array(ids[doc[keep]], pa.int64()),
+                "term": tc["term"].filter(keep),
+                "score": tc["score"].filter(keep),
+                "rank": pa.array(rank[keep], pa.int64()),
             }
         )
 
@@ -3223,6 +3204,23 @@ def _dup_spans_sql(sampled: bool) -> str:
     """
 
 
+def _span_windows(texts) -> tuple[pa.Array, np.ndarray]:
+    """(grams, doc): the md5 digest of every _SPAN_K-word window that lies
+    inside one row — its words joined by one space, the twins'
+    array_to_string — and that row."""
+    words, doc = _tokens(texts)
+    # doc is non-decreasing, so a window stays in one row iff its first
+    # and last words share the row
+    n = max(doc.size - _SPAN_K + 1, 0)
+    at = np.flatnonzero(doc[:n] == doc[_SPAN_K - 1 :])
+    ws = words.to_pylist()
+    grams = [
+        hashlib.md5(" ".join(ws[i : i + _SPAN_K]).encode("utf-8")).digest()
+        for i in at
+    ]
+    return pa.array(grams, pa.binary()), doc[at]
+
+
 def _dup_spans_dataset(sf_dir: str, *, sampled: bool):
     """Shared engine for the exact and hash-sampled span detectors
     (docstrings on the registered queries below)."""
@@ -3230,37 +3228,16 @@ def _dup_spans_dataset(sf_dir: str, *, sampled: bool):
 
     P = _nblocks(sf_dir, "documents")
     # top nibble of the digest < bound  <=>  first byte < bound * 16
-    byte_bound = _SPAN_SAMPLE_BOUND * 16
+    first_bound = bytes([_SPAN_SAMPLE_BOUND * 16])
 
     def gram_partial(t: pa.Table) -> pa.Table:
-        texts = t.column("text").to_pylist()
-        occ: dict[bytes, int] = {}
-        docs: dict[bytes, int] = {}
-        for x in texts:
-            ws = WORD_REGEX.findall(x)
-            if len(ws) < _SPAN_K:
-                continue
-            doc_occ: dict[bytes, int] = {}
-            for j in range(len(ws) - _SPAN_K + 1):
-                d = hashlib.md5(
-                    " ".join(ws[j : j + _SPAN_K]).encode("utf-8")
-                ).digest()
-                if sampled and d[0] >= byte_bound:
-                    continue
-                doc_occ[d] = doc_occ.get(d, 0) + 1
-            for d, c in doc_occ.items():
-                occ[d] = occ.get(d, 0) + c
-                docs[d] = docs.get(d, 0) + 1
-        if not occ:
-            return pa.table(
-                {
-                    "gram": pa.array([], pa.string()),
-                    "n_docs": pa.array([], pa.int64()),
-                    "n_occurrences": pa.array([], pa.int64()),
-                    "part": pa.array([], pa.int64()),
-                }
-            )
-        digests = list(occ)
+        grams, doc = _span_windows(t["text"])
+        if sampled:
+            keep = pc.less(pc.binary_slice(grams, 0, 1), first_bound)
+            grams = grams.filter(keep)
+            doc = doc[keep.to_numpy(zero_copy_only=False)]
+        st = _term_stats(grams, doc)
+        digests = st["term"].to_pylist()
         part = (
             np.frombuffer(b"".join(digests), dtype=np.uint8)
             .reshape(-1, 16)[:, :8]
@@ -3272,12 +3249,8 @@ def _dup_spans_dataset(sf_dir: str, *, sampled: bool):
         return pa.table(
             {
                 "gram": pa.array([d.hex() for d in digests], pa.string()),
-                "n_docs": pa.array(
-                    [docs[d] for d in digests], pa.int64()
-                ),
-                "n_occurrences": pa.array(
-                    [occ[d] for d in digests], pa.int64()
-                ),
+                "n_docs": st["df"],
+                "n_occurrences": st["cf"],
                 "part": pa.array(part, pa.int64()),
             }
         )
@@ -3360,59 +3333,33 @@ def boilerplate_span_ratio(sf_dir: str):
     The duplicated-span set collects to the driver and broadcasts
     once (bounded by the DUPLICATED span vocabulary — the same
     bounded-combine class as decontaminate_overlap's benchmark
-    vocab, not the corpus); pass 2 is shuffle-free: each doc's
-    windows probe the sorted span array with one searchsorted."""
+    vocab, not the corpus); pass 2 is shuffle-free: each batch's
+    windows probe the raw-digest span set with one Arrow is_in."""
     import ray
 
     dup = (
         dup_ngram_spans(sf_dir).select_columns(["gram"]).to_pandas()
     )  # bounded: duplicated spans only
-    # broadcast RAW digests ('S16'), not hex: halves the broadcast and
-    # lets the hot loop probe with .digest() — no per-window hexdigest
-    # string materialization, fixed-width byte compares in searchsorted
-    spans = np.sort(
-        np.asarray(
-            [bytes.fromhex(g) for g in dup["gram"].to_numpy()],
-            dtype="S16",
-        )
+    bcast = ray.put(
+        pa.array([bytes.fromhex(g) for g in dup["gram"]], pa.binary())
     )
-    bcast = ray.put(spans)
 
     def ratio(t: pa.Table) -> pa.Table:
-        b_spans = ray.get(bcast)
-        ids = t.column("doc_id").to_numpy()
-        texts = t.column("text").to_pylist()
-        out_id: list[int] = []
-        out_n: list[int] = []
-        out_dup: list[int] = []
-        for i, x in enumerate(texts):
-            ws = WORD_REGEX.findall(x)
-            if len(ws) < _SPAN_K:
-                continue
-            grams = np.asarray(
-                [
-                    hashlib.md5(
-                        " ".join(ws[j : j + _SPAN_K]).encode("utf-8")
-                    ).digest()
-                    for j in range(len(ws) - _SPAN_K + 1)
-                ],
-                dtype="S16",
-            )
-            si = np.searchsorted(b_spans, grams)
-            sc = np.minimum(si, max(b_spans.size - 1, 0))
-            hit = (
-                (si < b_spans.size) & (b_spans[sc] == grams)
-                if b_spans.size
-                else np.zeros(grams.size, bool)
-            )
-            out_id.append(int(ids[i]))
-            out_n.append(int(grams.size))
-            out_dup.append(int(hit.sum()))
+        grams, doc = _span_windows(t["text"])
+        hit = pc.is_in(grams, value_set=ray.get(bcast)).to_numpy(
+            zero_copy_only=False
+        )
+        starts = _run_starts(doc)
+        ids = t["doc_id"].to_numpy()
         return pa.table(
             {
-                "doc_id": pa.array(out_id, pa.int64()),
-                "n_windows": pa.array(out_n, pa.int64()),
-                "n_dup_windows": pa.array(out_dup, pa.int64()),
+                "doc_id": pa.array(ids[doc[starts]], pa.int64()),
+                "n_windows": pa.array(
+                    np.diff(np.r_[starts, doc.size]), pa.int64()
+                ),
+                "n_dup_windows": pa.array(
+                    np.add.reduceat(hit.astype(np.int64), starts), pa.int64()
+                ),
             }
         )
 
@@ -3601,7 +3548,7 @@ def stratified_sample_topk(sf_dir: str):
 # Python int — the product overflows int64 around 10^5x this corpus.
 # ---------------------------------------------------------------------------
 
-_BM25_TERMS = ("merge", "scan", "table", "window")  # sorted
+_BM25_TERMS = ("merge", "scan", "table", "window")
 _BM25_K = 10
 _BM25_IDF_SCALE = 10_000
 
@@ -3657,42 +3604,47 @@ def bm25_search_topk(sf_dir: str):
               (n_docs, total_tokens, df per query term) — combined on
               the driver (batches x 1 rows) into (N, total, idf),
               broadcast ONCE via ray.put,
-      pass 2  per-batch scoring + LOCAL top-k: each doc's tf vector
-              comes from one np.unique + searchsorted against the
-              (tiny, sorted) query-term array; the exact-integer
-              per-term divisions run over matched (doc, term) pairs
-              only; each batch emits at most k rows, so the driver
-              merge is k x batches regardless of corpus size.
+      pass 2  per-batch scoring + LOCAL top-k: the words matching a
+              query term (one Arrow is_in) give per-(doc, term) tf
+              through _term_counts; the exact-integer per-term
+              divisions run over those matched pairs only; each batch
+              emits at most k rows, so the driver merge is k x batches
+              regardless of corpus size.
 
     At 100 TB the same shape holds: pass-1 partials are O(batches),
     pass-2 output is O(k * batches); neither pass shuffles documents.
     """
+    import math
+
     import ray
 
-    qterms = np.array(_BM25_TERMS, dtype=str)  # sorted by construction
+    qterms = pa.array(_BM25_TERMS, pa.string())
+
+    def query_tf(t: pa.Table):
+        """(doc, term index, tf) of each (doc, query term) that occurs,
+        and the batch's word count per row."""
+        words, doc = _tokens(t["text"])
+        hit = pc.is_in(words, value_set=qterms)
+        tc = _term_counts(
+            words.filter(hit), doc[hit.to_numpy(zero_copy_only=False)]
+        )
+        return (
+            tc["doc"].to_numpy(),
+            pc.index_in(tc["term"], value_set=qterms).to_numpy(),
+            tc["tf"].to_numpy(),
+            np.bincount(doc, minlength=t.num_rows),
+        )
 
     def stats_partial(t: pa.Table) -> pa.Table:
-        texts = t.column("text").to_pylist()
-        n_tok = 0
-        df = np.zeros(qterms.size, dtype=np.int64)
-        for x in texts:
-            words = WORD_REGEX.findall(x)
-            n_tok += len(words)
-            if words:
-                u = np.unique(np.array(words, dtype=str))
-                pos = np.searchsorted(u, qterms)
-                ok = pos < u.size
-                ok[ok] &= u[pos[ok]] == qterms[ok]
-                df += ok
+        _, term, _, dl = query_tf(t)
+        df = np.bincount(term, minlength=len(qterms))
         cols: dict = {
-            "n_docs": pa.array([len(texts)], pa.int64()),
-            "n_tokens": pa.array([n_tok], pa.int64()),
+            "n_docs": pa.array([t.num_rows], pa.int64()),
+            "n_tokens": pa.array([int(dl.sum())], pa.int64()),
         }
-        for j in range(qterms.size):
+        for j in range(len(qterms)):
             cols[f"df_{j}"] = pa.array([int(df[j])], pa.int64())
         return pa.table(cols)
-
-    import math
 
     parts = (
         _read(sf_dir, "documents", ["text"])
@@ -3714,41 +3666,28 @@ def bm25_search_topk(sf_dir: str):
                     + 0.5
                 )
             )
-            for j in range(qterms.size)
+            for j in range(len(qterms))
         ],
-        dtype=np.int64,
+        dtype=object,  # Python ints: the products below exceed int64
     )
-    bcast = ray.put((qterms, idf, n_docs, total))
+    bcast = ray.put((idf, n_docs, total))
 
     def topk_partial(t: pa.Table) -> pa.Table:
-        b_terms, b_idf, b_n, b_total = ray.get(bcast)
-        ids = t.column("doc_id").to_numpy()
-        texts = t.column("text").to_pylist()
-        out: list[tuple[int, int]] = []
-        for i, x in enumerate(texts):
-            words = WORD_REGEX.findall(x)
-            if not words:
-                continue
-            u, c = np.unique(np.array(words, dtype=str), return_counts=True)
-            pos = np.searchsorted(u, b_terms)
-            ok = pos < u.size
-            ok[ok] &= u[pos[ok]] == b_terms[ok]
-            if not ok.any():
-                continue
-            dl = len(words)
-            score = 0
-            for j in np.flatnonzero(ok):
-                tf = int(c[pos[j]])
-                score += (int(b_idf[j]) * 44 * tf * b_total) // (
-                    20 * b_total * tf + 6 * b_total + 18 * dl * b_n
-                )
-            out.append((int(ids[i]), score))
-        out.sort(key=lambda p: (-p[1], p[0]))
-        out = out[:_BM25_K]
+        b_idf, b_n, b_total = ray.get(bcast)
+        doc, term, tf, dl = query_tf(t)
+        tf = tf.astype(object)
+        per_term = (b_idf[term] * 44 * tf * b_total) // (
+            20 * b_total * tf + 6 * b_total + 18 * dl[doc].astype(object) * b_n
+        )
+        score = np.zeros(t.num_rows, np.int64)
+        np.add.at(score, doc, per_term.astype(np.int64))
+        docs = np.unique(doc)
+        ids = t["doc_id"].to_numpy()[docs]
+        top = np.lexsort((ids, -score[docs]))[:_BM25_K]
         return pa.table(
             {
-                "doc_id": pa.array([p[0] for p in out], pa.int64()),
-                "score": pa.array([p[1] for p in out], pa.int64()),
+                "doc_id": pa.array(ids[top], pa.int64()),
+                "score": pa.array(score[docs][top], pa.int64()),
             }
         )
 

@@ -547,6 +547,7 @@ def test_pull_driver_rows(corpus, oracle, tmp_path, ray_session, tiers):
     assert (rows["leases"] > 0) == bool(tiers)
     assert rows["waves"] > 0 and rows["sweeps"] > 0
     assert all(rows[b] >= 0 for b in buckets)
+    assert rows["start_us"] > 0
     assert sum(rows[b] for b in buckets) <= wall_us
 
 

@@ -558,55 +558,156 @@ def test_bm25_score_is_exact_integer_okapi(ray_session):
         )
 
 
-def test_bm25_oracle_agrees_on_zero_token_docs(ray_session, tmp_path):
-    """Regression: a corpus containing empty / whitespace-only docs.
-    The pipeline defines N = all documents (len(texts) per batch); the
-    oracle must too — its dl CTE silently drops zero-token docs because
-    UNNEST of an empty token list emits no rows, so counting dl rows
-    would undercount N and shrink every length penalty. Pin pipeline ==
-    oracle on a fixture where the two definitions differ."""
+# Adversarial documents for the word-level queries: empty and
+# whitespace-only docs, \v/\f separators, non-separator control and
+# unicode-space characters inside words (\x1c, \x85, \xa0, U+2003),
+# the distinct words 'a\x00' and 'a', repeated terms, five tf-idf
+# score ties in one doc, and an 8-word span shared by docs 11 and 12.
+# Consecutive short docs (1-3) would form 8-word windows if a kernel
+# let windows cross a doc boundary. 'a' and 'a\x00' do not tie in
+# tf-idf score: DuckDB's ORDER BY sorts strings that differ only in
+# trailing NULs as equal (its '<' does not), so on such a tie the
+# twin's rank order is arbitrary.
+EDGE_DOCS = [
+    "merge scan table window",
+    "merge merge scan foo bar",
+    "table window qux",
+    "",
+    "   ",
+    " \v\f\t\n\r ",
+    "scan\vfoo\fbar\v\ftable  window\n",
+    "a\x00 a a b merge",
+    "x\x1cy z\x85w n\xa0m em\u2003space \U0001f642 x\x1cy!!",
+    "pp qq rr ss tt",
+    "one two three four five six seven eight nine",
+    "zero one two three four five six seven eight window, window",
+    "ab, cd. ef; " * 4,
+]
+
+# every query that tokenizes text into words or regex tokens
+TOKENIZER_QUERIES = [
+    "text_token_stats", "quality_scores", "term_doc_frequency",
+    "doc_commonness", "importance_sample", "tfidf_topk_terms",
+    "bm25_search_topk", "dup_ngram_spans", "boilerplate_span_ratio",
+]
+
+
+@pytest.fixture(scope="module")
+def edge_sf(tmp_path_factory):
+    import pyarrow as pa
+
+    d = tmp_path_factory.mktemp("edge_docs")
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": pa.array(range(1, len(EDGE_DOCS) + 1), pa.int64()),
+                "text": pa.array(EDGE_DOCS, pa.string()),
+            }
+        ),
+        d / "documents.parquet",
+        row_group_size=5,  # several read blocks, so partials combine
+    )
+    return str(d)
+
+
+@pytest.mark.parametrize("name", TOKENIZER_QUERIES)
+def test_tokenizer_queries_match_twins_on_edge_docs(ray_session, edge_sf, name):
+    """Each tokenizer query equals its DuckDB twin on EDGE_DOCS. A
+    numpy 'U' array of terms drops trailing NULs and merges 'a\x00'
+    into 'a', which the twins keep apart."""
     import duckdb
     import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as pq
 
-    from raycrawl.pipelines.textops import _bm25_oracle_sql, bm25_search_topk
+    import raycrawl.pipelines.textops  # noqa: F401  (registers queries)
+    from raycrawl.pipelines.analytics import ORACLES, QUERIES
 
-    docs = pa.table(
-        {
-            "doc_id": pa.array(list(range(1, 8)), pa.int64()),
-            "text": pa.array(
-                [
-                    "merge scan table window",
-                    "merge merge scan foo bar",
-                    "table window qux",
-                    "",                # zero tokens
-                    "   ",             # whitespace only — zero tokens
-                    "scan",
-                    "unrelated words entirely",
-                ]
-            ),
-        }
-    )
-    pq.write_table(docs, tmp_path / "documents.parquet")
-
-    got = bm25_search_topk(str(tmp_path)).to_pandas()
-
+    got = QUERIES[name](edge_sf).to_pandas()
     con = duckdb.connect()
     con.execute(
         "CREATE VIEW documents AS SELECT * FROM "
-        f"read_parquet('{tmp_path}/documents.parquet')"
+        f"read_parquet('{edge_sf}/documents.parquet')"
     )
-    want = con.sql(_bm25_oracle_sql()).df()
+    want = con.sql(ORACLES[name]).df()
 
     def norm(df):
-        df = df[sorted(df.columns)].astype("int64")
+        df = df[sorted(df.columns)]
         return df.sort_values(list(df.columns)).reset_index(drop=True)
 
-    pd.testing.assert_frame_equal(norm(got), norm(want))
-    # the zero-token docs must count toward N: with N=7 every scoring
-    # doc's dl < avgdl penalty differs from the N=5 (dl-only) reading
-    assert len(got) == 4  # only docs containing a query term score
+    assert len(want) > 0
+    pd.testing.assert_frame_equal(norm(got), norm(want), check_dtype=False)
+    if name == "term_doc_frequency":
+        assert {"a", "a\x00"} <= set(got["term"])
+    if name == "bm25_search_topk":
+        # N counts ALL documents, the three zero-token ones included
+        # (the twin's dl CTE alone would drop them): every doc holding
+        # a query term scores, and only those
+        assert sorted(got["doc_id"]) == [1, 2, 3, 7, 8, 12]
+
+
+def _quality_score_ref(text: str) -> float:
+    """Scalar reference for textstats.quality_scores_batch."""
+    from raycrawl.functions.textstats import PUNCT_REGEX, WORD_REGEX
+
+    n = len(text)
+    n_words = len(WORD_REGEX.findall(text))
+    if n_words == 0:
+        return 0.0
+    mean_wl = (n - (n_words - 1)) / n_words
+    score = 1.0
+    if n < 32 or n > 100_000:
+        score *= 0.5
+    if mean_wl < 2 or mean_wl > 12:
+        score *= 0.5
+    if len(PUNCT_REGEX.findall(text)) / n > 0.2:
+        score *= 0.5
+    return round(score, 4)
+
+
+def test_arrow_tokenizer_matches_python_regexes():
+    """The Arrow kernels equal Python's re per text: _tokens gives
+    WORD_REGEX.findall, the count kernels the TOKEN_REGEX/PUNCT_REGEX
+    match counts, and quality_scores_batch the scalar reference — over
+    every separator of the word class, NUL, and characters that
+    Python's str.split treats as space but the class does not."""
+    import pyarrow as pa
+    from hypothesis import given, settings, strategies as st
+
+    from raycrawl.functions.textstats import (
+        PUNCT_REGEX,
+        TOKEN_REGEX,
+        WORD_REGEX,
+        punct_counts_batch,
+        quality_scores_batch,
+        token_counts_batch,
+    )
+    from raycrawl.pipelines.textops import _tokens
+
+    alphabet = list(" \t\n\r\v\f\x00\x1c\x85\xa0\u2003\U0001f642aZ09_.,!")
+    texts_st = st.lists(
+        st.text(alphabet=st.sampled_from(alphabet), max_size=60),
+        max_size=8,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts=texts_st)
+    def check(texts):
+        col = pa.chunked_array([texts[:3], texts[3:]], pa.string())
+        words, doc = _tokens(col)
+        per_doc = [[] for _ in texts]
+        for w, d in zip(words.to_pylist(), doc.tolist()):
+            per_doc[d].append(w)
+        assert per_doc == [WORD_REGEX.findall(x) for x in texts]
+        assert token_counts_batch(col).tolist() == [
+            len(TOKEN_REGEX.findall(x)) for x in texts
+        ]
+        assert punct_counts_batch(col).tolist() == [
+            len(PUNCT_REGEX.findall(x)) for x in texts
+        ]
+        assert quality_scores_batch(col).tolist() == [
+            _quality_score_ref(x) for x in texts
+        ]
+
+    check()
 
 
 def test_importance_sample_tilts_toward_rare_vocab(ray_session, tmp_path):
@@ -684,10 +785,10 @@ def test_dedup_keep_best_quality_beats_min_id(ray_session, tmp_path):
         ),
         str(tmp_path / "documents.parquet"),
     )
-    from raycrawl.functions.textstats import quality_score
+    from raycrawl.functions.textstats import quality_scores_batch
     from raycrawl.pipelines.textops import dedup_keep_best
 
-    assert quality_score(noisy) == 0.5 and quality_score(base) == 1.0
+    assert list(quality_scores_batch([noisy, base])) == [0.5, 1.0]
 
     got = (
         dedup_keep_best(str(tmp_path))

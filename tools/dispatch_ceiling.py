@@ -86,12 +86,13 @@ def measure(workers: int, corpus, num_shards: int, reserve: int) -> dict:
 
     tm = {p: rows[f"{p}_us"] / 1e6 for p in PHASES}
     chunks = rows["chunks"]
-    # fixed (once-per-crawl) phases don't scale with chunk rate: seeding
-    # and the final drain/flush. Everything else in the loop is work the
-    # driver repeats per chunk/cycle and is what saturates first.
-    fixed = tm["seed"] + tm["final"]
+    # fixed (once-per-crawl) phases don't scale with chunk rate: seeding,
+    # start-up and the final drain/flush. Everything else in the loop is
+    # work the driver repeats per chunk/cycle and is what saturates first.
+    once = ("seed", "start", "final")
+    fixed = sum(tm[p] for p in once)
     loop_busy = sum(
-        v for k, v in tm.items() if k not in ("wait", "seed", "final")
+        v for k, v in tm.items() if k != "wait" and k not in once
     )
     steady_wall = max(1e-9, wall - fixed)
     cpu_steady = max(0.0, cpu - fixed)  # fixed phases are ~CPU-bound too
