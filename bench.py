@@ -60,6 +60,7 @@ QUERY_NAMES = [
     "tfidf_topk_terms",
     "kmv_distinct_users",
     "dedup_keep_best",
+    "embedding_dup_clusters",
     "importance_sample",
     "knn_quantized",
 ]

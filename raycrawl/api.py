@@ -181,27 +181,13 @@ def doc_list(state_dir: str, urn_prefix: str = "", limit: int = 10_000) -> pa.Ta
 def latest_documents_dataset(state_dir: str):
     """D3 last-write-wins compaction as a streaming Ray Data pipeline —
     the 100-TB path (the driver-side ``latest_documents`` below is the
-    small-result admin variant). Hash-partition by urn, then ONE
-    vectorized sort + first-of-run kernel per partition; no per-key
+    small-result admin variant). Co-locate by urn (_by_key), then ONE
+    vectorized sort + first-of-run kernel per block; no per-key
     Python, no driver materialization."""
     import numpy as np
     import ray.data
 
-    parts = 32
-
-    def add_part(t: pa.Table) -> pa.Table:
-        # vectorized deterministic partition hash (pandas hash_array,
-        # fixed default key — stable across worker processes); any
-        # deterministic urn->part function yields identical results,
-        # since last-wins runs entirely within a urn's partition
-        import pandas as pd
-
-        h = pd.util.hash_array(
-            t.column("urn").to_numpy(zero_copy_only=False)
-        )
-        return t.append_column(
-            "part", pa.array((h % parts).astype(np.int64), pa.int64())
-        )
+    from .pipelines.analytics import _by_key
 
     def last_per_urn(t: pa.Table) -> pa.Table:
         order = pc.sort_indices(
@@ -211,21 +197,15 @@ def latest_documents_dataset(state_dir: str):
         t = t.take(order)
         urns = t.column("urn").combine_chunks()
         if len(urns) <= 1:
-            return t.drop_columns(["part"])
-        import numpy as np
-
+            return t
         neq = pc.not_equal(urns.slice(1), urns.slice(0, len(urns) - 1))
         keep = np.concatenate(
             ([True], neq.to_numpy(zero_copy_only=False))
         )
-        return t.filter(pa.array(keep)).drop_columns(["part"])
+        return t.filter(pa.array(keep))
 
     ds = ray.data.read_parquet(os.path.join(state_dir, "documents"))
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(last_per_urn, batch_format="pyarrow")
-    )
+    return _by_key(ds, "urn", last_per_urn)
 
 
 @guarded

@@ -34,9 +34,9 @@ def query(name: str, sql: str | None = None):
 
 
 def _nblocks(sf_dir: str, table: str) -> int:
-    """Size-aware block count shared by _read and the hash-partitioned
-    aggregates (partition count should track the data like the read
-    fan-out does)."""
+    """Size-aware block count of _read; every keyed merge downstream
+    (_by_key) keeps it, so the partition count tracks the data like
+    the read fan-out does."""
     import os
 
     path = f"{sf_dir}/{table}.parquet"
@@ -164,36 +164,21 @@ def weighted_queue_order(sf_dir: str):
     )
 
 
-# Hash-shuffle partition count for the per-key query family below.
-# Each partition is ONE vectorized kernel call over all of its keys —
-# zero per-key Python. Scale note: P bounds per-task memory to ~n/P
-# rows; a 10^8-key deployment raises P with the cluster, it never
-# changes the per-key cost (which is O(1) amortized inside the kernel).
-_KEY_PARTS = 32
-
-
-def _part_of_int(keys: np.ndarray, parts: int = _KEY_PARTS) -> np.ndarray:
-    """Deterministic hash partition of an int key column (Knuth
-    multiplicative, endianness-free)."""
-    k = keys.astype(np.uint64, copy=False)
-    return ((k * np.uint64(2654435761)) % np.uint64(2**32)).astype(
-        np.int64
-    ) % parts
-
-
-def _part_of_str(keys: np.ndarray, parts: int = _KEY_PARTS) -> np.ndarray:
-    """Deterministic hash partition of a string key column: Python
-    hashing only per UNIQUE value in the batch, broadcast back with the
-    inverse index."""
-    import zlib
-
-    uniq, inv = np.unique(keys, return_inverse=True)
-    part_of = np.fromiter(
-        (zlib.crc32(u.encode("utf-8")) % parts for u in uniq),
-        dtype=np.int64,
-        count=len(uniq),
+def _by_key(ds, key, fn):
+    """The keyed merge every per-key query here uses: co-locate rows by
+    ``key`` (a column or a list of columns), then run ``fn`` once per
+    block. Ray's sort range-partitions on the key itself, so all rows
+    of a key land in one block, and it emits as many blocks as its
+    input has: the block count is the input's, sized by _read /
+    _nblocks. ``fn`` sees whole blocks (``batch_size=None``) holding
+    many keys, so it must be vectorized over them; this is
+    ``map_groups`` without its per-group split. Ray's sort still emits
+    zero-column blocks for empty key ranges (an empty input, or fewer
+    distinct keys than blocks); ``map_batches`` passes those through
+    without calling ``fn``."""
+    return ds.sort(key).map_batches(
+        fn, batch_size=None, batch_format="pyarrow"
     )
-    return part_of[inv]
 
 
 def _first_run_mask(sorted_keys: np.ndarray) -> np.ndarray:
@@ -209,14 +194,10 @@ def _first_run_mask(sorted_keys: np.ndarray) -> np.ndarray:
 )
 def dedup_first_by_key(sf_dir: str):
     """D2 exact dedup — first request per identity key wins
-    (redisRequestTracker.js:17-53). Hash-shuffle by key, then ONE
-    vectorized sort + first-of-run kernel per partition (round-1
+    (redisRequestTracker.js:17-53). Co-locate by key (_by_key), then
+    ONE vectorized sort + first-of-run kernel per block (round-1
     verdict item #3: the previous per-key map_groups paid a Python
     round trip per user_id)."""
-
-    def add_part(t: pa.Table) -> pa.Table:
-        parts = _part_of_int(t.column("user_id").to_numpy())
-        return t.append_column("part", pa.array(parts, pa.int64()))
 
     def first_per_key(t: pa.Table) -> pa.Table:
         order = pc.sort_indices(
@@ -235,11 +216,7 @@ def dedup_first_by_key(sf_dir: str):
         )
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(first_per_key, batch_format="pyarrow")
-    )
+    return _by_key(ds, "user_id", first_per_key)
 
 
 @query(
@@ -250,12 +227,8 @@ def dedup_first_by_key(sf_dir: str):
 )
 def upsert_latest(sf_dir: str):
     """D3 last-write-wins upsert by natural key (mongodocstore.js:25-32
-    updateOne upsert). Same hash-shuffle + vectorized run-mask shape as
+    updateOne upsert). Same keyed merge + vectorized run-mask shape as
     dedup_first_by_key, descending within key."""
-
-    def add_part(t: pa.Table) -> pa.Table:
-        parts = _part_of_int(t.column("user_id").to_numpy())
-        return t.append_column("part", pa.array(parts, pa.int64()))
 
     def last_per_key(t: pa.Table) -> pa.Table:
         order = pc.sort_indices(
@@ -274,11 +247,7 @@ def upsert_latest(sf_dir: str):
         )
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(last_per_key, batch_format="pyarrow")
-    )
+    return _by_key(ds, "user_id", last_per_key)
 
 
 @query(
@@ -390,37 +359,23 @@ def metrics_rollup(sf_dir: str):
     """A5 per-second op counters rolled up (redis-metrics analogue,
     lib/crawlerFactory.js:264-277).
 
-    Shape: hash-partition on the group key, then ONE vectorized Arrow
-    ``Table.group_by`` per partition (the minhash coarse-partition
-    pattern). Ray's built-in ``aggregate(Count)`` walks group
-    boundaries in Python inside AggregateMap/Reduce — measured
-    ~120 us/row on this multi-key group (1.4 s at sf0.1 vs 0.77 s for
-    this shape, identical 80k-group output). A per-batch partial-count
-    combiner was also tried and measured 3-4x slower still: at ~1 row
-    per (type, minute) group partials cannot shrink the shuffle.
-    Partition count tracks the read fan-out (_nblocks), so the shape
+    Shape: co-locate on the group key (_by_key), then ONE vectorized
+    Arrow ``Table.group_by`` per block. Ray's built-in
+    ``aggregate(Count)`` walks group boundaries in Python inside
+    AggregateMap/Reduce — measured ~120 us/row on this multi-key
+    group (1.4 s at sf0.1 vs 0.77 s for this shape, identical 80k-group
+    output). A per-batch partial-count combiner was also tried and
+    measured 3-4x slower still: at ~1 row per (type, minute) group
+    partials cannot shrink the shuffle.
+    The block count tracks the read fan-out (_nblocks), so the shape
     is unchanged at 100 TB: the shuffle carries only (key, minute)
-    pairs and every partition aggregates vectorized."""
-    import zlib
+    pairs and every block aggregates vectorized."""
 
-    P = _nblocks(sf_dir, "events")
-
-    def add_part(t: pa.Table) -> pa.Table:
-        minute = pc.floor_temporal(t["ts"], unit="minute")
-        d = t["event_type"].combine_chunks().dictionary_encode()
-        uh = np.array(
-            [zlib.crc32(u.encode()) for u in d.dictionary.to_pylist()],
-            dtype=np.int64,
-        )  # Python only over the batch's few DISTINCT event types
-        part = (
-            uh[d.indices.to_numpy()] * np.int64(1000003)
-            + minute.cast(pa.int64()).to_numpy()
-        ) % P
+    def project(t: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "event_type": t["event_type"],
-                "minute": minute,
-                "part": pa.array(part, pa.int64()),
+                "minute": pc.floor_temporal(t["ts"], unit="minute"),
             }
         )
 
@@ -432,13 +387,10 @@ def metrics_rollup(sf_dir: str):
             ["n" if c == "count_all" else c for c in out.column_names]
         ).select(["event_type", "minute", "n"])
 
-    return (
-        _read(sf_dir, "events", ["event_type", "ts"])
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(agg, batch_format="pyarrow")
-        .select_columns(["event_type", "minute", "n"])
+    ds = _read(sf_dir, "events", ["event_type", "ts"]).map_batches(
+        project, batch_format="pyarrow"
     )
+    return _by_key(ds, ["event_type", "minute"], agg)
 
 
 @query(
@@ -449,22 +401,15 @@ def metrics_rollup(sf_dir: str):
 def rate_limit_violations(sf_dir: str):
     """T4 fixed-window rate limiter: windows where a key exceeds its
     budget (inmemoryRateLimiter.js:17-36 `over = count > limit`).
-    Same hash-partitioned vectorized-group_by shape as metrics_rollup
-    (see its note on why both Ray's Count and a partial combiner lose
-    at this group density); the integer key needs no string hash."""
-    P = _nblocks(sf_dir, "events")
+    Same keyed vectorized-group_by shape as metrics_rollup (see its
+    note on why both Ray's Count and a partial combiner lose at this
+    group density)."""
 
-    def add_part(t: pa.Table) -> pa.Table:
-        minute = pc.floor_temporal(t["ts"], unit="minute")
-        part = (
-            t["user_id"].to_numpy() * np.int64(1000003)
-            + minute.cast(pa.int64()).to_numpy()
-        ) % P
+    def project(t: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "user_id": t["user_id"],
-                "minute": minute,
-                "part": pa.array(part, pa.int64()),
+                "minute": pc.floor_temporal(t["ts"], unit="minute"),
             }
         )
 
@@ -477,13 +422,10 @@ def rate_limit_violations(sf_dir: str):
         ).select(["user_id", "minute", "n"])
         return out.filter(pc.greater(out["n"], 1))
 
-    return (
-        _read(sf_dir, "events", ["user_id", "ts"])
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(agg, batch_format="pyarrow")
-        .select_columns(["user_id", "minute", "n"])
+    ds = _read(sf_dir, "events", ["user_id", "ts"]).map_batches(
+        project, batch_format="pyarrow"
     )
+    return _by_key(ds, ["user_id", "minute"], agg)
 
 
 @query(
@@ -623,17 +565,12 @@ def top_sources(sf_dir: str):
     partitioner must contain, SURVEY §4). Classic combiner shape:
     hosts repeat heavily within a batch (zipf), so a per-batch Arrow
     group_by shrinks the shuffle to (source, partial n) rows; the
-    per-partition final sum is vectorized too."""
-    P = _nblocks(sf_dir, "documents")
+    per-block final sum is vectorized too."""
 
     def partial(t: pa.Table) -> pa.Table:
-        out = t.select(["source"]).group_by("source").aggregate(
+        return t.select(["source"]).group_by("source").aggregate(
             [([], "count_all")]
         )
-        part = _part_of_str(
-            np.asarray(out.column("source").to_pylist(), dtype=object), P
-        )  # the partial rows are already one per DISTINCT source
-        return out.append_column("part", pa.array(part, pa.int64()))
 
     def total(g: pa.Table) -> pa.Table:
         out = g.group_by("source").aggregate([("count_all", "sum")])
@@ -641,12 +578,11 @@ def top_sources(sf_dir: str):
             ["n" if c == "count_all_sum" else c for c in out.column_names]
         ).select(["source", "n"])
 
+    ds = _read(sf_dir, "documents", ["source"]).map_batches(
+        partial, batch_format="pyarrow"
+    )
     return (
-        _read(sf_dir, "documents", ["source"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(total, batch_format="pyarrow")
-        .select_columns(["source", "n"])
+        _by_key(ds, "source", total)
         .sort(["n", "source"], descending=[True, False])
         .limit(10)
     )
@@ -659,16 +595,10 @@ def top_sources(sf_dir: str):
     "ORDER BY o_totalprice DESC, o_orderkey) <= 3",
 )
 def topk_orders_per_status(sf_dir: str):
-    """O4 generalized: top-k per group (per-queue peek). Hash-shuffle
-    by key; inside each partition one vectorized sort + run-relative
-    rank (arange minus run start) keeps rank <= k — no per-key
+    """O4 generalized: top-k per group (per-queue peek). Co-locate by
+    key; inside each block one vectorized sort + run-relative rank
+    (arange minus run start) keeps rank <= k — no per-key
     callbacks."""
-
-    def add_part(t: pa.Table) -> pa.Table:
-        parts = _part_of_str(
-            np.asarray(t.column("o_orderstatus").to_pylist(), dtype=object)
-        )
-        return t.append_column("part", pa.array(parts, pa.int64()))
 
     def topk(t: pa.Table) -> pa.Table:
         order = pc.sort_indices(
@@ -692,11 +622,7 @@ def topk_orders_per_status(sf_dir: str):
     ds = _read(
         sf_dir, "orders", ["o_orderstatus", "o_orderkey", "o_totalprice"]
     )
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(topk, batch_format="pyarrow")
-    )
+    return _by_key(ds, "o_orderstatus", topk)
 
 
 @query(
@@ -710,15 +636,11 @@ def topk_orders_per_status(sf_dir: str):
 )
 def events_sessionize(sf_dir: str):
     """W streaming-window analogue: session counts with a 30-minute gap
-    rule, per key. Hash-shuffle by user, then one vectorized kernel per
-    partition: sort by (user, ts, event_id); a session starts at each
+    rule, per key. Co-locate by user, then one vectorized kernel per
+    block: sort by (user, ts, event_id); a session starts at each
     user boundary or >30-min gap; per-user counts are np.add.reduceat
     over the user runs — zero per-key Python."""
     gap_us = 30 * 60 * 1_000_000
-
-    def add_part(t: pa.Table) -> pa.Table:
-        parts = _part_of_int(t.column("user_id").to_numpy())
-        return t.append_column("part", pa.array(parts, pa.int64()))
 
     def sessions(t: pa.Table) -> pa.Table:
         order = pc.sort_indices(
@@ -743,22 +665,18 @@ def events_sessionize(sf_dir: str):
         )
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(sessions, batch_format="pyarrow")
-    )
+    return _by_key(ds, "user_id", sessions)
 
 
 # ---------------------------------------------------------------------------
 # Temporal joins + windowed aggregates (W-family extensions: the custom
 # operators Ray Data lacks natively — as-of join, interval/range join,
-# hopping window — each expressed as one keyed shuffle + one vectorized
-# per-partition kernel, the same shape every other per-key query here
-# uses. Partitioning assumption (documented per the brief): both sides
-# hash-shuffle on the SAME join key with the SAME partitioner, so each
-# partition sees every row for its keys and the kernel never needs
-# cross-partition state.
+# hopping window — each expressed as one keyed merge (_by_key) + one
+# vectorized per-block kernel, the same shape every other per-key query
+# here uses. Partitioning assumption (documented per the brief): both
+# sides are unioned and sorted on the SAME join key, so each block sees
+# every row for its keys and the kernel never needs cross-block
+# state.
 # ---------------------------------------------------------------------------
 
 
@@ -778,8 +696,8 @@ def asof_join_latest_order(sf_dir: str):
     """As-of join: each event picks the key's most recent order at or
     before the event timestamp (ties on o_orderdate break to the max
     o_orderkey; events with no prior order keep nulls — LEFT
-    semantics). Both sides hash-shuffle on the key into one tagged
-    union; per partition ONE vectorized kernel: lexsort by (key, ts,
+    semantics). Both sides are co-located on the key as one tagged
+    union; per block ONE vectorized kernel: lexsort by (key, ts,
     side) with orders before same-ts events, then a running cummax of
     order-row indexes — an event's match is the latest order row above
     it, validated by key equality (a cummax that leaks across a key
@@ -787,11 +705,9 @@ def asof_join_latest_order(sf_dir: str):
     Python; the shuffle carries only the join columns."""
 
     def tag_events(t: pa.Table) -> pa.Table:
-        key = t.column("user_id").to_numpy()
         n = len(t)
         return pa.table(
             {
-                "part": pa.array(_part_of_int(key), pa.int64()),
                 "key": t.column("user_id"),
                 "ts": t.column("ts"),
                 "side": pa.array(np.ones(n, np.int8)),
@@ -801,11 +717,9 @@ def asof_join_latest_order(sf_dir: str):
         )
 
     def tag_orders(t: pa.Table) -> pa.Table:
-        key = t.column("o_custkey").to_numpy()
         n = len(t)
         return pa.table(
             {
-                "part": pa.array(_part_of_int(key), pa.int64()),
                 "key": t.column("o_custkey"),
                 "ts": t.column("o_orderdate"),
                 "side": pa.array(np.zeros(n, np.int8)),
@@ -854,11 +768,7 @@ def asof_join_latest_order(sf_dir: str):
     od = _read(
         sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
     ).map_batches(tag_orders, batch_format="pyarrow")
-    return (
-        ev.union(od)
-        .groupby("part")
-        .map_groups(asof, batch_format="pyarrow")
-    )
+    return _by_key(ev.union(od), "key", asof)
 
 
 @query(
@@ -872,8 +782,8 @@ def asof_join_latest_order(sf_dir: str):
 )
 def range_join_order_events(sf_dir: str):
     """Range (interval) join: per order, the count of the customer's
-    events inside [o_orderdate, o_orderdate + 7 days). Keyed shuffle of
-    a tagged union; per partition ONE vectorized probe-row kernel: each
+    events inside [o_orderdate, o_orderdate + 7 days). Keyed merge of
+    a tagged union; per block ONE vectorized probe-row kernel: each
     order contributes a lo and a hi probe row, the union lexsorts by
     (key, ts, probes-before-equal-ts-events), and the per-order count
     is the difference of the running event cumsum at its two probe
@@ -889,9 +799,6 @@ def range_join_order_events(sf_dir: str):
         n = len(t)
         return pa.table(
             {
-                "part": pa.array(
-                    np.tile(_part_of_int(key), 2), pa.int64()
-                ),
                 "key": pa.array(np.tile(key, 2), pa.int64()),
                 "ts_us": pa.array(
                     np.r_[lo, lo + window_us], pa.int64()
@@ -903,11 +810,9 @@ def range_join_order_events(sf_dir: str):
         )
 
     def ev_rows(t: pa.Table) -> pa.Table:
-        key = t.column("user_id").to_numpy()
         n = len(t)
         return pa.table(
             {
-                "part": pa.array(_part_of_int(key), pa.int64()),
                 "key": t.column("user_id"),
                 "ts_us": t.column("ts").cast(pa.int64()),
                 "is_event": pa.array(np.ones(n, np.int8)),
@@ -950,11 +855,7 @@ def range_join_order_events(sf_dir: str):
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"]).map_batches(
         ev_rows, batch_format="pyarrow"
     )
-    return (
-        od.union(ev)
-        .groupby("part")
-        .map_groups(count_ranges, batch_format="pyarrow")
-    )
+    return _by_key(od.union(ev), "key", count_ranges)
 
 
 @query(
@@ -1030,11 +931,10 @@ def event_funnel_counts(sf_dir: str):
     not convert; the strict-> tie rule is identical in the twin).
     Filter-before-shuffle: only signup/purchase rows leave the read
     stage, as three int columns (user, ts_us, kind). Then the
-    dedup_first_by_key shape — ONE hash-partitioned shuffle by user
-    and one vectorized kernel per partition (sort + reduceat min/max
-    per user run; a user converts iff max purchase ts > min signup
-    ts). Each partition emits ONE partial row; the driver combine is
-    partition-count-bounded."""
+    dedup_first_by_key shape — ONE keyed merge by user and one
+    vectorized kernel per block (sort + reduceat min/max per user run;
+    a user converts iff max purchase ts > min signup ts). Each block
+    emits ONE partial row; the driver combine is block-count-bounded."""
     _I64_MAX = np.iinfo(np.int64).max
     _I64_MIN = np.iinfo(np.int64).min
 
@@ -1043,7 +943,6 @@ def event_funnel_counts(sf_dir: str):
         tt = t.filter(
             pc.or_(pc.equal(et, "signup"), pc.equal(et, "purchase"))
         )
-        users = tt.column("user_id").to_numpy()
         kind = pc.equal(tt.column("event_type"), "purchase")
         return pa.table(
             {
@@ -1054,7 +953,6 @@ def event_funnel_counts(sf_dir: str):
                     pa.int64(),
                 ),
                 "kind": pc.cast(kind, pa.int8()),
-                "part": pa.array(_part_of_int(users), pa.int64()),
             }
         )
 
@@ -1081,13 +979,10 @@ def event_funnel_counts(sf_dir: str):
             }
         )
 
-    parts_df = (
-        _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-        .map_batches(pick, batch_format="pyarrow")
-        .groupby("part", num_partitions=_KEY_PARTS)
-        .map_groups(funnel_part, batch_format="pyarrow")
-        .to_pandas()  # bounded: one row per partition
-    )
+    ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
+    parts_df = _by_key(
+        ds.map_batches(pick, batch_format="pyarrow"), "user_id", funnel_part
+    ).to_pandas()  # bounded: one row per block
     return pa.table(
         {
             "stage": pa.array(
@@ -1121,8 +1016,8 @@ def orders_trailing_window(sf_dir: str):
     are per-row, not per-bucket). Day-granular by definition on both
     sides; sums in integer cents.
 
-    ONE hash-partitioned shuffle by customer; inside each partition
-    the whole frame computation is three vectorized calls — lexsort by
+    ONE keyed merge by customer; inside each block the whole frame
+    computation is three vectorized calls — lexsort by
     (cust, day), a composite-key searchsorted pair for the frame
     bounds (key = cust * 2^32 + day; a 30-day underflow cannot reach
     the previous customer's run because day_max << 2^32 - 30), and a
@@ -1145,7 +1040,6 @@ def orders_trailing_window(sf_dir: str):
                 "cust": pa.array(cust, pa.int64()),
                 "day": pa.array(day, pa.int64()),
                 "cents": pa.array(cents, pa.int64()),
-                "part": pa.array(_part_of_int(cust), pa.int64()),
             }
         )
 
@@ -1175,15 +1069,13 @@ def orders_trailing_window(sf_dir: str):
             }
         )
 
-    return (
-        _read(
-            sf_dir,
-            "orders",
-            ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
-        )
-        .map_batches(pick, batch_format="pyarrow")
-        .groupby("part", num_partitions=_KEY_PARTS)
-        .map_groups(frame_part, batch_format="pyarrow")
+    ds = _read(
+        sf_dir,
+        "orders",
+        ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
+    )
+    return _by_key(
+        ds.map_batches(pick, batch_format="pyarrow"), "cust", frame_part
     )
 
 

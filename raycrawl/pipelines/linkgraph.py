@@ -15,24 +15,25 @@ pipeline:
   searchsorted probe per batch — the etag_join idiom), which also
   serves as the corpus-membership filter (dangling targets drop, as
   in the crawl's 404/deadletter path);
-- out-degree weights: ONE hash-partitioned groupby keyed by src id
-  (all edges of a src co-locate, so w = 1/outdeg is a run-length
-  kernel — no join operator);
+- out-degree weights: ONE keyed merge on src id (_by_key: all edges
+  of a src co-locate, so w = 1/outdeg is a run-length kernel — no
+  join operator);
 - each iteration: rank rows are keyed LIKE the edge rows (the
   _connected_components union trick, textops.py), so contribution
-  routing is one hash-partitioned groupby with a searchsorted rank
-  lookup inside the partition; inflow pre-aggregates inside the
-  partition (add.reduceat) before the second groupby sums per
+  routing is one keyed merge with a searchsorted rank lookup inside
+  the block; inflow pre-aggregates inside the block (add.reduceat)
+  into rows keyed by destination before the second merge sums per
   destination and applies teleport + dangling mass. The dangling
   mass is a per-iteration scalar reduce over the static
   zero-out-degree node set.
 
 Per-iteration shuffle volume is O(edges) + O(nodes); nothing
-materializes on the driver except one float per iteration. At 10^10
-urls the partition count scales with the cluster (``parts``), the
-per-task working set is one partition, and the broadcast url array is
-replaced by the sharded-corpus membership probe
-(stages/corpus_shards.py) — the id mapping is batch-local either way.
+materializes on the driver except one float per iteration, and every
+iteration runs on the edge set's block count. At 10^10 urls the block
+count scales with the data (``parts``), the per-task working set is
+one block, and the broadcast url array is replaced by the
+sharded-corpus membership probe (stages/corpus_shards.py) — the id
+mapping is batch-local either way.
 
 Oracle: the flagship sidecar graph (pages.parquet / links.parquet —
 same kernels, independently derived driver-side, flagship.py) with
@@ -50,7 +51,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..corpus import corpus_from_documents
-from .analytics import _part_of_int, query
+from .analytics import _by_key, query
 from .flagship import DRIVER_ORACLE_SF, _sidecar_dir
 
 _ALPHA = 0.85  # damping — the SQL twin uses the same literal, and
@@ -136,10 +137,10 @@ def _new_rank(
 
 def _corpus_graph_input(sf_dir: str, parts_hint: int | None):
     """Shared setup for the link-graph operators: derive the flagship
-    corpus, size the partition count (see the parts^2 note in
+    corpus, size the block count (see the blocks^2 note in
     _pagerank_dataset), broadcast the sorted url array (node id =
     sorted rank; doubles as the membership filter), and slice the
-    pages into one block per partition so the extract kernel fans
+    pages into ``parts`` blocks so the extract kernel fans
     out. Returns (corpus, n_nodes, urls_sorted, members_ref,
     pages_ds, parts)."""
     import ray
@@ -208,18 +209,16 @@ def _batch_edge_ids(t: pa.Table, members: np.ndarray):
 
 # One wide schema for every union stage (ray.data.Dataset.union needs
 # aligned schemas — the _connected_components pattern): edge rows carry
-# (key=src_id, dst, w, pdst), rank/anchor/contrib rows carry
+# (key=src_id, dst, w), rank/anchor/contrib rows carry
 # (key=node_id, rank, dang), everything else padded.
 def _wide(
     key: np.ndarray,
     *,
     dst=None,
     w=None,
-    pdst=None,
     rank=None,
     dang=None,
     is_edge: int = 0,
-    part: np.ndarray,
 ) -> pa.Table:
     n = key.size
     z64 = np.zeros(n, np.int64)
@@ -230,13 +229,11 @@ def _wide(
             "key": pa.array(key.astype(np.int64), pa.int64()),
             "dst": pa.array(z64 if dst is None else dst.astype(np.int64)),
             "w": pa.array(zf if w is None else w, pa.float64()),
-            "pdst": pa.array(z64 if pdst is None else pdst, pa.int64()),
             "rank": pa.array(zf if rank is None else rank, pa.float64()),
             "dang": pa.array(z8 if dang is None else dang, pa.int8()),
             "is_edge": pa.array(
                 np.full(n, is_edge, np.int8), pa.int8()
             ),
-            "part": pa.array(part, pa.int64()),
         }
     )
 
@@ -248,11 +245,12 @@ def _pagerank_dataset(
     iters: int = _ITERS,
     personalized: bool = False,
 ):
-    # parts is size-derived by default (see _corpus_graph_input): each
+    # parts (the pages' block count, which every merge below keeps)
+    # is size-derived by default (see _corpus_graph_input): each
     # iteration is a sort-based shuffle whose block-exchange count
-    # grows as parts^2, so tiny graphs must not pay a 32-partition tax
+    # grows as blocks^2, so tiny graphs must not pay a 32-block tax
     # (85 s -> ~8 s at 1k nodes, 71 s -> ~10 s at 10k); at cluster
-    # scale parts rises with the data so per-partition memory stays
+    # scale parts rises with the data so per-block memory stays
     # bounded
     import ray
 
@@ -294,16 +292,10 @@ def _pagerank_dataset(
     def edges_of(t: pa.Table) -> pa.Table:
         # task pool: setup is one zero-copy plasma get (etag_join idiom)
         src_id, dst_id = _batch_edge_ids(t, ray.get(members_ref))
-        return _wide(
-            src_id,
-            dst=dst_id,
-            pdst=_part_of_int(dst_id, parts),
-            is_edge=1,
-            part=_part_of_int(src_id, parts),
-        )
+        return _wide(src_id, dst=dst_id, is_edge=1)
 
     def weigh(g: pa.Table) -> pa.Table:
-        # all edges of a src are in this partition: outdeg = run length
+        # all edges of a src are in this block: outdeg = run length
         g = g.take(pc.sort_indices(g, sort_keys=[("key", "ascending")]))
         keys = g.column("key").to_numpy()
         starts = _runs(keys)
@@ -312,17 +304,13 @@ def _pagerank_dataset(
             keys,
             dst=g.column("dst").to_numpy(),
             w=np.repeat(1.0 / lens, lens),
-            pdst=g.column("pdst").to_numpy(),
             is_edge=1,
-            part=g.column("part").to_numpy(),
         )
 
-    edges = (
-        pages_ds.map_batches(edges_of, batch_format="pyarrow")
-        .groupby("part", num_partitions=parts)
-        .map_groups(weigh, batch_format="pyarrow")
-        .materialize()
-    )
+    edges = _by_key(
+        pages_ds.map_batches(edges_of, batch_format="pyarrow"), "key", weigh
+    ).materialize()
+    nblocks = edges.num_blocks()
 
     # anchors: one row per node; dang = 1 iff the node never appears
     # as an edge src (zero out-degree), discovered by unioning anchor
@@ -331,9 +319,7 @@ def _pagerank_dataset(
     anchor_blocks = []
     for lo in range(0, n_nodes, step):
         ids = np.arange(lo, min(lo + step, n_nodes), dtype=np.int64)
-        anchor_blocks.append(
-            _wide(ids, part=_part_of_int(ids, parts))
-        )
+        anchor_blocks.append(_wide(ids))
     anchors0 = ray.data.from_arrow(anchor_blocks)
 
     def flag_dang(g: pa.Table) -> pa.Table:
@@ -345,18 +331,9 @@ def _pagerank_dataset(
         run_keys = keys[starts]
         # anchors guarantee every corpus node has a run here; edge srcs
         # are corpus nodes, so run set == node set
-        return _wide(
-            run_keys,
-            dang=(~has_out).astype(np.int8),
-            part=_part_of_int(run_keys, parts),
-        )
+        return _wide(run_keys, dang=(~has_out).astype(np.int8))
 
-    anchors = (
-        anchors0.union(edges)
-        .groupby("part", num_partitions=parts)
-        .map_groups(flag_dang, batch_format="pyarrow")
-        .materialize()
-    )
+    anchors = _by_key(anchors0.union(edges), "key", flag_dang).materialize()
 
     def init_rank(t: pa.Table) -> pa.Table:
         return t.set_column(
@@ -383,21 +360,14 @@ def _pagerank_dataset(
             g.column("w").to_numpy()[em]
         )
         dst = g.column("dst").to_numpy()[em]
-        pdst = g.column("pdst").to_numpy()[em]
-        if not dst.size:  # a partition holding only rank rows
-            return _wide(
-                np.zeros(0, np.int64), part=np.zeros(0, np.int64)
-            )
-        # partial-aggregate inflow by dst INSIDE the partition before
-        # the dst-keyed shuffle (combiner) — rows out = distinct dsts
+        if not dst.size:  # a block holding only rank rows
+            return _wide(np.zeros(0, np.int64))
+        # partial-aggregate inflow by dst INSIDE the block before the
+        # dst-keyed merge (combiner) — rows out = distinct dsts
         o2 = np.argsort(dst, kind="stable")
-        dst, contrib, pdst = dst[o2], contrib[o2], pdst[o2]
+        dst, contrib = dst[o2], contrib[o2]
         starts = _runs(dst)
-        return _wide(
-            dst[starts],
-            rank=np.add.reduceat(contrib, starts),
-            part=pdst[starts],
-        )
+        return _wide(dst[starts], rank=np.add.reduceat(contrib, starts))
 
     def make_assemble(d_mass: float):
         def assemble(g: pa.Table) -> pa.Table:
@@ -410,12 +380,7 @@ def _pagerank_dataset(
             dang = np.maximum.reduceat(g.column("dang").to_numpy(), starts)
             run_keys = keys[starts]
             new_rank = _new_rank(inflow, d_mass, tv_of(run_keys))
-            return _wide(
-                run_keys,
-                rank=new_rank,
-                dang=dang,
-                part=_part_of_int(run_keys, parts),
-            )
+            return _wide(run_keys, rank=new_rank, dang=dang)
 
         return assemble
 
@@ -445,17 +410,16 @@ def _pagerank_dataset(
                 ).sum("s")
                 or 0.0
             )
-        contribs = (
-            edges.union(ranks)
-            .groupby("part", num_partitions=parts)
-            .map_groups(contrib_part, batch_format="pyarrow")
+        # each union is repartitioned back to the edge set's block
+        # count, or every iteration would add the blocks of both sides
+        contribs = _by_key(
+            edges.union(ranks).repartition(nblocks), "key", contrib_part
         )
-        ranks = (
-            anchors.union(contribs)
-            .groupby("part", num_partitions=parts)
-            .map_groups(make_assemble(d_mass), batch_format="pyarrow")
-            .materialize()
-        )
+        ranks = _by_key(
+            anchors.union(contribs).repartition(nblocks),
+            "key",
+            make_assemble(d_mass),
+        ).materialize()
 
     def finish(t: pa.Table) -> pa.Table:
         urls = ray.get(members_ref)
@@ -504,11 +468,11 @@ def top_indegree_pages(sf_dir: str):
     sources (in-degree over the deduped canonical edge set — the same
     edge semantics as PageRank, so this is its cheap screening
     companion: one aggregation instead of five iterations). Per-batch
-    per-source dedup + per-batch (dst, n) partials; ONE hash-
-    partitioned shuffle of the compressed partials; each partition
-    emits only its local top-k, so the driver merge is bounded by
-    partitions x k (the knn merge class). Ties break (count DESC,
-    url ASC) identically in the twin."""
+    per-source dedup + per-batch (dst, n) partials; ONE keyed merge of
+    the compressed partials; each block emits only its local top-k,
+    so the driver merge is bounded by blocks x k (the knn merge
+    class). Ties break (count DESC, url ASC) identically in the
+    twin."""
     import ray
 
     (
@@ -517,7 +481,7 @@ def top_indegree_pages(sf_dir: str):
         urls_sorted,
         members_ref,
         pages_ds,
-        parts,
+        _parts,
     ) = _corpus_graph_input(sf_dir, None)
 
     def indeg_partial(t: pa.Table) -> pa.Table:
@@ -528,9 +492,6 @@ def top_indegree_pages(sf_dir: str):
             {
                 "dst_id": pa.array(uniq, pa.int64()),
                 "n_inlinks": pa.array(cnt, pa.int64()),
-                "part": pa.array(
-                    _part_of_int(uniq, parts), pa.int64()
-                ),
             }
         )
 
@@ -548,12 +509,11 @@ def top_indegree_pages(sf_dir: str):
             }
         )
 
-    parts_df = (
-        pages_ds.map_batches(indeg_partial, batch_format="pyarrow")
-        .groupby("part", num_partitions=parts)
-        .map_groups(local_topk, batch_format="pyarrow")
-        .to_pandas()  # bounded: partitions x k rows
-    )
+    parts_df = _by_key(
+        pages_ds.map_batches(indeg_partial, batch_format="pyarrow"),
+        "dst_id",
+        local_topk,
+    ).to_pandas()  # bounded: blocks x k rows
     order = np.lexsort(
         (
             parts_df["dst_id"].to_numpy(),

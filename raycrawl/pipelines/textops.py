@@ -41,14 +41,14 @@ from ..functions.textstats import (
     quality_scores_batch,
     token_counts_batch,
 )
-from .analytics import _bounded, _read, query
+from .analytics import _bounded, _by_key, _read, query
 
 
 def _pool_size(cap: int = 16) -> int:
-    """Actor-pool width for the heavy per-document stages: half the
-    cluster's CPUs (read/shuffle stages keep the rest), capped. The
-    old fixed concurrency=2 left 30 of 32 cores idle during the sign/
-    score kernels — the dominant cost of the sketch pipelines."""
+    """minhash_lsh_dupes' read-block floor: half the cluster's CPUs,
+    capped, so the signature kernel fans out on a small corpus (a
+    fixed 2 left 30 of 32 cores idle during the sign kernel, the
+    dominant cost of the sketch pipelines)."""
     import ray
 
     if not ray.is_initialized():
@@ -341,34 +341,22 @@ def doc_fingerprints(sf_dir: str):
     "FROM documents GROUP BY 1",
 )
 def text_exact_dedup(sf_dir: str):
-    """Exact dedup: content-hash per batch (md5 digest kernel), then
-    hash-partitioned keep-first (ray_guide 'exact dedup' pattern). The
-    keep-first is a vectorized pyarrow group_by min per partition —
-    text_hash is ~unique per doc, the worst case for Ray's built-in
-    Min (Python per group boundary, see metrics_rollup); the partition
-    key comes free from the first 8 digest bytes."""
-    from .analytics import _nblocks
-
-    P = _nblocks(sf_dir, "documents")
+    """Exact dedup: content-hash per batch (md5 digest kernel), then a
+    keep-first merge keyed by the hash (ray_guide 'exact dedup'
+    pattern). The keep-first is a vectorized pyarrow group_by min per
+    block — text_hash is ~unique per doc, the worst case for Ray's
+    built-in Min (Python per group boundary, see metrics_rollup)."""
 
     def add_hash(t: pa.Table) -> pa.Table:
-        digests = [
-            hashlib.md5(x.encode("utf-8")).digest()
-            for x in t.column("text").to_pylist()
-        ]
-        part = (
-            np.frombuffer(b"".join(digests), dtype=np.uint8)
-            .reshape(-1, 16)[:, :8]
-            .copy()
-            .view("<u8")
-            .reshape(-1)
-            % np.uint64(P)
-        ).astype(np.int64)
         return pa.table(
             {
-                "text_hash": pa.array([d.hex() for d in digests]),
+                "text_hash": pa.array(
+                    [
+                        hashlib.md5(x.encode("utf-8")).hexdigest()
+                        for x in t.column("text").to_pylist()
+                    ]
+                ),
                 "doc_id": t["doc_id"],
-                "part": pa.array(part, pa.int64()),
             }
         )
 
@@ -378,13 +366,10 @@ def text_exact_dedup(sf_dir: str):
             ["doc_id" if c == "doc_id_min" else c for c in out.column_names]
         ).select(["text_hash", "doc_id"])
 
-    ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    return (
-        ds.map_batches(add_hash, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(keep_first, batch_format="pyarrow")
-        .select_columns(["text_hash", "doc_id"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+        add_hash, batch_format="pyarrow"
     )
+    return _by_key(ds, "text_hash", keep_first)
 
 
 def _minhash_oracle_sql(threshold: float = 0.5) -> str:
@@ -454,21 +439,19 @@ def _minhash_oracle_sql(threshold: float = 0.5) -> str:
 
 @query("minhash_lsh_dupes", _minhash_oracle_sql())
 def minhash_lsh_dupes(
-    sf_dir: str, threshold: float = 0.5, parts: int = 256
+    sf_dir: str, threshold: float = 0.5
 ) -> "ray.data.Dataset":
     """Near-dup detection: shingle → MinHash(128) → LSH band buckets →
     candidate pairs within buckets → signature-Jaccard verify.
     Signatures are computed per batch (mergeable-sketch pattern); only
     the tiny (band_key, doc_id, signature) table shuffles, never the
-    documents. The shuffle groups by a HASH PARTITION of band_key
-    (`parts` coarse groups), not the exact key: equal band keys still
-    co-locate (part is a pure function of the key), but the per-group
-    dispatch overhead is paid `parts` times instead of once per bucket
-    — groupby(band_key).map_groups measured 99 s of per-singleton-group
+    documents. The shuffle sorts on band_key (_by_key), and the pair
+    kernel runs once per BLOCK, not once per bucket —
+    groupby(band_key).map_groups measured 99 s of per-singleton-group
     pandas overhead on an 80k-bucket table whose actual pair math was
-    milliseconds. Within a group, buckets are runs of the sorted key;
-    only runs of length ≥ 2 do pair work. `parts` scales with the
-    cluster, independent of bucket count."""
+    milliseconds. Within a block, buckets are runs of the sorted key;
+    only runs of length ≥ 2 do pair work. The block count scales with
+    the data, independent of bucket count."""
     def sign(t: pa.Table) -> pa.Table:
         # task pool + per-PROCESS shingle-hash cache (_SHINGLE_CACHE):
         # phrase vocabulary converges, so md5 runs once per shingle the
@@ -477,7 +460,7 @@ def minhash_lsh_dupes(
         #
         # Only the shingle→signature step is per-doc (inherent: regex
         # tokenize + cached md5 per shingle + a 128×~50 multiply). The
-        # band/key/part emission is batch-level numpy: band keys are
+        # band/key emission is batch-level numpy: band keys are
         # assembled as ONE (n, 16, 66) uint8 array (2-byte big-endian
         # band_id prefix + the 64 signature bytes — byte-identical to
         # the old per-row ``band_id.to_bytes(2,'big') + slice.tobytes()``)
@@ -498,23 +481,6 @@ def minhash_lsh_dupes(
         keys[:, :, 0] = (b16 >> 8).astype(np.uint8)
         keys[:, :, 1] = (b16 & 0xFF).astype(np.uint8)
         keys[:, :, 2:] = S.view(np.uint8).reshape(n, 16, 64)
-        # part = splitmix-style mix of (band_id, the band's 8 words):
-        # a pure function of the band key, so equal keys co-locate —
-        # the only property the hash partition needs (replaces the
-        # per-row zlib.crc32 Python loop; distribution measured
-        # uniform: max part skew 1.47x at 256 parts on sf0.01)
-        words = S.reshape(n, 16, 8)
-        with np.errstate(over="ignore"):
-            fold = words[:, :, 0].copy()
-            for wj in range(1, 8):
-                fold = fold * np.uint64(0x9E3779B97F4A7C15) ^ words[:, :, wj]
-            fold ^= np.arange(16, dtype=np.uint64) * np.uint64(
-                0xBF58476D1CE4E5B9
-            )
-            fold ^= fold >> np.uint64(33)
-            fold = fold * np.uint64(0xFF51AFD7ED558CCD)
-            fold ^= fold >> np.uint64(29)
-        part = (fold % np.uint64(parts)).astype(np.int64).reshape(-1)
         band_arr = pa.Array.from_buffers(
             pa.binary(66), n * 16, [None, pa.py_buffer(keys.reshape(-1))]
         )
@@ -531,13 +497,12 @@ def minhash_lsh_dupes(
                 ),
                 "band_key": band_arr,
                 "sig": sig_arr,
-                "part": pa.array(part, pa.int64()),
             }
         )
 
     def pairs_part(g: pa.Table) -> pa.Table:
         """All pairs within each LSH bucket (= run of equal band_key in
-        this hash partition). A pair surfaces in every band whose
+        this block). A pair surfaces in every band whose
         slices agree — emitting it ONLY from the FIRST such band dedups
         by construction (each band sees the full signatures, so 'first
         matching band' is computable locally), so no second shuffle.
@@ -623,32 +588,24 @@ def minhash_lsh_dupes(
             }
         )
 
-    # Block/partition sizing: Ray's sort-shuffle costs ~50 ms of
-    # scheduling per map/reduce task, so at bench scale the default 64
-    # read blocks -> 64+64 sort tasks spent 5.9 s of a 7.7 s query in
-    # the Sort barrier while every task carried ~1.4 MB. Hold ~64 MB of
-    # input per read block (floor: one per pool actor) and one shuffle
-    # partition per ~128 MB of signature table (floor: pool width) —
-    # at sf0.1 that is 16 blocks / 16 partitions (measured 7.7 -> 4.2 s
-    # end-to-end), at 100 TB both grow with the data and the shuffle
-    # fans out exactly as before.
+    # Block sizing: Ray's sort-shuffle costs ~50 ms of scheduling per
+    # map/reduce task, so at bench scale the default 64 read blocks ->
+    # 64+64 sort tasks spent 5.9 s of a 7.7 s query in the Sort barrier
+    # while every task carried ~1.4 MB. Hold ~64 MB of input per read
+    # block (floor: the pool width, _pool_size), and the band-key sort
+    # keeps that block count — at sf0.1 that is 16 blocks (measured
+    # 7.7 -> 4.2 s end-to-end); at 100 TB it grows with the data.
     import os
 
     import ray.data
 
-    pool = _pool_size()
     path = f"{sf_dir}/documents.parquet"
-    nblocks = max(pool, int(os.path.getsize(path)) // (64 << 20))
-    n_docs = pq.ParquetFile(path).metadata.num_rows
-    sig_bytes = n_docs * 16 * (2 + 64 + 1024)  # rows x (band+key+sig)
-    npartitions = max(pool, sig_bytes // (128 << 20))
+    nblocks = max(_pool_size(), int(os.path.getsize(path)) // (64 << 20))
     ds = ray.data.read_parquet(
         path, columns=["doc_id", "text"], override_num_blocks=nblocks
     )
-    return (
-        ds.map_batches(sign, batch_format="pyarrow")
-        .groupby("part", num_partitions=npartitions)
-        .map_groups(pairs_part, batch_format="pyarrow")
+    return _by_key(
+        ds.map_batches(sign, batch_format="pyarrow"), "band_key", pairs_part
     )
 
 
@@ -2179,30 +2136,21 @@ def domain_mix_sample(sf_dir: str):
 _CC_MAX_ROUNDS = 64  # loud diameter guard (see near_dup_clusters)
 
 
-def _cc_part(keys: np.ndarray, parts: int) -> np.ndarray:
-    """Hash partition of an int64 node id (multiplicative mix — a pure
-    function of the key, so equal keys co-locate; same contract as the
-    minhash band-key partition)."""
-    h = (keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-    h ^= h >> np.uint64(33)
-    return (h % np.uint64(parts)).astype(np.int64)
-
-
-def _connected_components(pairs, parts: int):
+def _connected_components(pairs):
     """Distributed connected components over an undirected edge
     Dataset ``(doc_a, doc_b)`` -> Dataset ``(key, val)`` where, for
     every node appearing in an edge, the per-key MIN of ``val`` is the
     component's minimum member id.
 
     Iterative min-label propagation with the label table KEYED LIKE THE
-    EDGES so each round is ONE hash-partitioned groupby (no join
-    operator needed):
+    EDGES so each round is ONE keyed merge (_by_key; no join operator
+    needed):
 
       state   edge rows (key=v, val=u, is_edge=1) both directions,
               materialized once; label rows (key=v, val=lab, is_edge=0)
               from the previous round.
-      round   groupby(part); inside a partition the runs of the sorted
-              key are vectorized with ONE minimum.reduceat:
+      round   sort on key; inside a block the runs of the sorted key
+              are vectorized with ONE minimum.reduceat:
               lab(v) = min(v, every val in v's group) — edge vals are
               neighbor IDS (always >= their own label, so folding them
               into the min is sound and makes round 1 seed-free);
@@ -2214,59 +2162,27 @@ def _connected_components(pairs, parts: int):
 
     Per-round shuffle volume is O(edges) — the DUP SUBGRAPH only, never
     the corpus — and rounds are bounded by the component diameter + 1.
-    Near-dup components are band-collision cliques stitched into short
-    chains, so the diameter is small by construction; a corpus that
-    somehow chains deeper than _CC_MAX_ROUNDS fails loudly rather than
-    converging silently wrong."""
+    Every round runs on the edge set's block count: the union of edges
+    and labels is repartitioned back to it, or each round would add
+    the edge set's blocks again. Near-dup components are band-collision
+    cliques stitched into short chains, so the diameter is small by
+    construction; a corpus that somehow chains deeper than
+    _CC_MAX_ROUNDS fails loudly rather than converging silently
+    wrong."""
 
-    def make_to_edges(p: int):
-        def to_edges(t: pa.Table) -> pa.Table:
-            a = t.column("doc_a").to_numpy()
-            b = t.column("doc_b").to_numpy()
-            key = np.concatenate((a, b))
-            val = np.concatenate((b, a))
-            return pa.table(
-                {
-                    "key": pa.array(key, pa.int64()),
-                    "val": pa.array(val, pa.int64()),
-                    "is_edge": pa.array(
-                        np.ones(key.size, np.int8), pa.int8()
-                    ),
-                    "part": pa.array(_cc_part(key, p), pa.int64()),
-                }
-            )
+    def to_edges(t: pa.Table) -> pa.Table:
+        a = t.column("doc_a").to_numpy()
+        b = t.column("doc_b").to_numpy()
+        key = np.concatenate((a, b))
+        return pa.table(
+            {
+                "key": pa.array(key, pa.int64()),
+                "val": pa.array(np.concatenate((b, a)), pa.int64()),
+                "is_edge": pa.array(np.ones(key.size, np.int8), pa.int8()),
+            }
+        )
 
-        return to_edges
-
-    edges = pairs.map_batches(
-        make_to_edges(parts), batch_format="pyarrow"
-    ).materialize()
-    # the dup SUBGRAPH is usually tiny (hundreds of edge rows at bench
-    # scale) while `parts` is corpus-sized — and each propagation round
-    # is a sort shuffle whose block-exchange count grows as parts^2
-    # (the link_pagerank lesson: 16 partitions cost ~1.6 s/round on a
-    # 1k-row table). Right-size to the measured edge count; the count
-    # is free on the materialized dataset.
-    def make_repart(p: int):
-        def repart(t: pa.Table) -> pa.Table:
-            key = t.column("key").to_numpy()
-            return t.set_column(
-                t.schema.get_field_index("part"),
-                "part",
-                pa.array(_cc_part(key, p), pa.int64()),
-            )
-
-        return repart
-
-    parts_caller = parts
-    parts_eff = max(2, min(parts, edges.count() // 1_000))
-    if parts_eff != parts:
-        parts = parts_eff
-        edges = edges.map_batches(
-            make_repart(parts_eff), batch_format="pyarrow"
-        ).materialize()
-
-    def relax_part(g: pa.Table) -> pa.Table:
+    def relax(g: pa.Table) -> pa.Table:
         order = pc.sort_indices(g, sort_keys=[("key", "ascending")])
         g = g.take(order)
         keys = g.column("key").to_numpy()
@@ -2288,31 +2204,19 @@ def _connected_components(pairs, parts: int):
                 "is_edge": pa.array(
                     np.zeros(out_key.size, np.int8), pa.int8()
                 ),
-                "part": pa.array(_cc_part(out_key, parts), pa.int64()),
             }
         )
 
-    labels = (
-        edges.groupby("part", num_partitions=parts)
-        .map_groups(relax_part, batch_format="pyarrow")
-    ).materialize()
+    edges = pairs.map_batches(to_edges, batch_format="pyarrow").materialize()
+    nblocks = edges.num_blocks()
+    labels = _by_key(edges, "key", relax).materialize()
     prev = labels.sum("val")
     for _ in range(_CC_MAX_ROUNDS):
-        labels = (
-            edges.union(labels)
-            .groupby("part", num_partitions=parts)
-            .map_groups(relax_part, batch_format="pyarrow")
-        ).materialize()
+        merged = edges.union(labels).repartition(nblocks)
+        labels = _by_key(merged, "key", relax).materialize()
         cur = labels.sum("val")
         if cur == prev:
-            out = labels.select_columns(["key", "val", "part"])
-            if parts != parts_caller:
-                # contract: returned part values use the CALLER's
-                # modulus, whatever the loop right-sized internally
-                out = out.map_batches(
-                    make_repart(parts_caller), batch_format="pyarrow"
-                )
-            return out
+            return labels.select_columns(["key", "val"])
         prev = cur
     raise RuntimeError(
         f"connected components did not converge in {_CC_MAX_ROUNDS} "
@@ -2348,25 +2252,14 @@ def near_dup_clusters(sf_dir: str):
     component (cluster_id == doc_id for the keeper and for every
     unduplicated doc). The component loop (_connected_components) runs
     on the DUP SUBGRAPH only — per-round shuffle is O(near-dup edges);
-    the corpus-wide cost is one projection plus ONE hash-partitioned
-    min-merge at the end (the text_exact_dedup keep-first pattern:
-    vectorized Arrow group_by per partition). Composes the pair stage
-    unchanged, so the pair semantics stay oracle-identical."""
-    parts = _pool_size()
-    # contract: the returned label rows' part column uses THIS parts
-    # value (the CC loop right-sizes internally and relabels on return),
-    # so the corpus-wide doc/label merge below co-locates correctly
-    labels = _connected_components(minhash_lsh_dupes(sf_dir), parts)
+    the corpus-wide cost is one projection plus ONE keyed min-merge at
+    the end (the text_exact_dedup keep-first pattern: vectorized Arrow
+    group_by per block). Composes the pair stage unchanged, so the
+    pair semantics stay oracle-identical."""
+    labels = _connected_components(minhash_lsh_dupes(sf_dir))
 
     def doc_rows(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
-        return pa.table(
-            {
-                "key": t["doc_id"],
-                "val": t["doc_id"],
-                "part": pa.array(_cc_part(ids, parts), pa.int64()),
-            }
-        )
+        return pa.table({"key": t["doc_id"], "val": t["doc_id"]})
 
     docs = _read(sf_dir, "documents", ["doc_id"]).map_batches(
         doc_rows, batch_format="pyarrow"
@@ -2381,11 +2274,7 @@ def near_dup_clusters(sf_dir: str):
             }
         )
 
-    return (
-        docs.union(labels)
-        .groupby("part", num_partitions=parts)
-        .map_groups(min_per_key, batch_format="pyarrow")
-    )
+    return _by_key(docs.union(labels), "key", min_per_key)
 
 
 @query(
@@ -2478,45 +2367,40 @@ def dedup_keep_best(sf_dir: str):
     copy happens to have the smaller id.
 
     Composition of two oracle-checked stages plus one join expressed
-    the repo's shuffle-free-join way: cluster labels and quality rows
-    are UNIONed with the SAME doc_id hash partition, so the per-doc
-    join is a partition-local sort (no join operator, no second
-    corpus shuffle for the probe side); winners then move ONE more
-    hash exchange keyed by cluster_id where a single lexsort picks
-    (quality DESC, doc_id ASC) per run. Multi-member clusters only
-    leave the final stage, so output is O(dup clusters), and every
-    exchange is O(corpus rows x 3 int/float columns) — never text.
-    At 100 TB the text column stays in the quality pass's map_batches;
-    a fused variant could fold quality into near_dup_clusters' last
-    merge and drop one exchange, kept separate here for parity with
-    the oracle's compositional definition."""
-    parts = _pool_size()
+    the repo's join-free way: cluster labels and quality rows are
+    UNIONed and merged on doc_id (_by_key), so the per-doc join is a
+    block-local group_by (no join operator, no second corpus shuffle
+    for the probe side); winners then move ONE more exchange keyed by
+    cluster_id where a single lexsort picks (quality DESC, doc_id ASC)
+    per run. Multi-member clusters only leave the final stage, so
+    output is O(dup clusters), and every exchange is O(corpus rows x 3
+    int/float columns) — never text. At 100 TB the text column stays
+    in the quality pass's map_batches; a fused variant could fold
+    quality into near_dup_clusters' last merge and drop one exchange,
+    kept separate here for parity with the oracle's compositional
+    definition."""
 
     def lab_rows(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
         return pa.table(
             {
                 "doc_id": t["doc_id"],
                 "cluster_id": t["cluster_id"],
                 "quality": pa.array(
-                    np.full(ids.size, -1.0), pa.float64()
+                    np.full(t.num_rows, -1.0), pa.float64()
                 ),
-                "part": pa.array(_cc_part(ids, parts), pa.int64()),
             }
         )
 
     def quality_rows(t: pa.Table) -> pa.Table:
-        ids = t.column("doc_id").to_numpy()
         return pa.table(
             {
                 "doc_id": t["doc_id"],
                 "cluster_id": pa.array(
-                    np.full(ids.size, -1, np.int64), pa.int64()
+                    np.full(t.num_rows, -1, np.int64), pa.int64()
                 ),
                 "quality": pa.array(
                     quality_scores_batch(t["text"]), pa.float64()
                 ),
-                "part": pa.array(_cc_part(ids, parts), pa.int64()),
             }
         )
 
@@ -2533,13 +2417,11 @@ def dedup_keep_best(sf_dir: str):
         out = g.group_by("doc_id").aggregate(
             [("cluster_id", "max"), ("quality", "max")]
         )
-        cl = out.column("cluster_id_max").to_numpy()
         return pa.table(
             {
                 "cluster_id": out["cluster_id_max"],
                 "doc_id": out["doc_id"],
                 "quality": out["quality_max"],
-                "part": pa.array(_cc_part(cl, parts), pa.int64()),
             }
         )
 
@@ -2562,13 +2444,8 @@ def dedup_keep_best(sf_dir: str):
             }
         )
 
-    return (
-        labels.union(quality)
-        .groupby("part", num_partitions=parts)
-        .map_groups(join_part, batch_format="pyarrow")
-        .groupby("part", num_partitions=parts)
-        .map_groups(best_per_cluster, batch_format="pyarrow")
-    )
+    joined = _by_key(labels.union(quality), "doc_id", join_part)
+    return _by_key(joined, "cluster_id", best_per_cluster)
 
 
 @query(
@@ -2602,11 +2479,9 @@ def embedding_dup_clusters(sf_dir: str):
     Composes two existing distributed stages unchanged: the IVF-bounded
     exact pair join (per-task memory = two lists, triangle-bound
     pruning) feeds the iterative min-label propagation whose per-round
-    shuffle is O(dup-subgraph edges) and whose partition count
-    right-sizes to the measured edge count. The corpus-wide cost is one
-    vec_id projection plus ONE hash-partitioned min-merge — embeddings
-    never move."""
-    parts = _pool_size()
+    shuffle is O(dup-subgraph edges) and whose block count is the pair
+    stage's. The corpus-wide cost is one vec_id projection plus ONE
+    keyed min-merge — embeddings never move."""
 
     def as_edges(t: pa.Table) -> pa.Table:
         return pa.table({"doc_a": t["id_a"], "doc_b": t["id_b"]})
@@ -2614,19 +2489,11 @@ def embedding_dup_clusters(sf_dir: str):
     labels = _connected_components(
         embedding_near_dup(sf_dir).map_batches(
             as_edges, batch_format="pyarrow"
-        ),
-        parts,
+        )
     )
 
     def vec_rows(t: pa.Table) -> pa.Table:
-        ids = t.column("vec_id").to_numpy()
-        return pa.table(
-            {
-                "key": t["vec_id"],
-                "val": t["vec_id"],
-                "part": pa.array(_cc_part(ids, parts), pa.int64()),
-            }
-        )
+        return pa.table({"key": t["vec_id"], "val": t["vec_id"]})
 
     vecs = _read(sf_dir, "embeddings", ["vec_id"]).map_batches(
         vec_rows, batch_format="pyarrow"
@@ -2641,11 +2508,7 @@ def embedding_dup_clusters(sf_dir: str):
             }
         )
 
-    return (
-        vecs.union(labels)
-        .groupby("part", num_partitions=parts)
-        .map_groups(min_per_key, batch_format="pyarrow")
-    )
+    return _by_key(vecs.union(labels), "key", min_per_key)
 
 
 # ---------------------------------------------------------------------------
@@ -2654,18 +2517,6 @@ def embedding_dup_clusters(sf_dir: str):
 # training-data pipeline selects on). Reference analogue: none — part
 # of the training-data operator family, like decontaminate_overlap.
 # ---------------------------------------------------------------------------
-
-
-def _term_part(terms: np.ndarray, parts: int) -> np.ndarray:
-    """Deterministic hash partition for string terms (crc32 — a pure
-    function of the term so equal terms co-locate; PYTHONHASHSEED-free
-    unlike hash())."""
-    import zlib
-
-    return np.array(
-        [zlib.crc32(t.encode("utf-8")) % parts for t in terms],
-        dtype=np.int64,
-    )
 
 
 @query(
@@ -2690,15 +2541,11 @@ def term_doc_frequency(sf_dir: str):
     over (doc, term) then over term), so the shuffle carries
     O(batches x batch-vocab) rows — vocabulary-sized, never
     token-stream-sized — and the final combine is a vectorized Arrow
-    group_by sum per hash partition (the text_exact_dedup pattern)."""
-    parts = _pool_size()
+    group_by sum per block of the term-keyed merge (the
+    text_exact_dedup pattern)."""
 
     def partial(t: pa.Table) -> pa.Table:
-        st = _term_stats(*_tokens(t["text"]))
-        terms = st["term"].to_numpy()
-        return st.append_column(
-            "part", pa.array(_term_part(terms, parts), pa.int64())
-        )
+        return _term_stats(*_tokens(t["text"]))
 
     def combine(g: pa.Table) -> pa.Table:
         out = g.group_by("term").aggregate([("cf", "sum"), ("df", "sum")])
@@ -2710,12 +2557,10 @@ def term_doc_frequency(sf_dir: str):
             }
         )
 
-    return (
-        _read(sf_dir, "documents", ["doc_id", "text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("part", num_partitions=parts)
-        .map_groups(combine, batch_format="pyarrow")
+    ds = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+        partial, batch_format="pyarrow"
     )
+    return _by_key(ds, "term", combine)
 
 
 def _corpus_vocab(sf_dir: str):
@@ -3224,9 +3069,6 @@ def _span_windows(texts) -> tuple[pa.Array, np.ndarray]:
 def _dup_spans_dataset(sf_dir: str, *, sampled: bool):
     """Shared engine for the exact and hash-sampled span detectors
     (docstrings on the registered queries below)."""
-    from .analytics import _nblocks
-
-    P = _nblocks(sf_dir, "documents")
     # top nibble of the digest < bound  <=>  first byte < bound * 16
     first_bound = bytes([_SPAN_SAMPLE_BOUND * 16])
 
@@ -3237,21 +3079,11 @@ def _dup_spans_dataset(sf_dir: str, *, sampled: bool):
             grams = grams.filter(keep)
             doc = doc[keep.to_numpy(zero_copy_only=False)]
         st = _term_stats(grams, doc)
-        digests = st["term"].to_pylist()
-        part = (
-            np.frombuffer(b"".join(digests), dtype=np.uint8)
-            .reshape(-1, 16)[:, :8]
-            .copy()
-            .view("<u8")
-            .reshape(-1)
-            % np.uint64(P)
-        ).astype(np.int64)
         return pa.table(
             {
-                "gram": pa.array([d.hex() for d in digests], pa.string()),
+                "gram": st["term"],
                 "n_docs": st["df"],
                 "n_occurrences": st["cf"],
-                "part": pa.array(part, pa.int64()),
             }
         )
 
@@ -3259,25 +3091,32 @@ def _dup_spans_dataset(sf_dir: str, *, sampled: bool):
         out = g.group_by("gram").aggregate(
             [("n_docs", "sum"), ("n_occurrences", "sum")]
         )
-        out = out.rename_columns(["gram", "n_docs", "n_occurrences"])
-        return out.filter(pc.greater(out["n_docs"], 1))
+        out = out.filter(pc.greater(out["n_docs_sum"], 1))
+        # hex only the duplicated spans, after the HAVING filter
+        return pa.table(
+            {
+                "gram": pa.array(
+                    [d.hex() for d in out["gram"].to_pylist()], pa.string()
+                ),
+                "n_docs": out["n_docs_sum"],
+                "n_occurrences": out["n_occurrences_sum"],
+            }
+        )
 
-    return (
-        _read(sf_dir, "documents", ["text"])
-        .map_batches(gram_partial, batch_format="pyarrow")
-        .groupby("part", num_partitions=P)
-        .map_groups(combine, batch_format="pyarrow")
+    ds = _read(sf_dir, "documents", ["text"]).map_batches(
+        gram_partial, batch_format="pyarrow"
     )
+    return _by_key(ds, "gram", combine)
 
 
 @query("dup_ngram_spans", _dup_spans_sql(sampled=False))
 def dup_ngram_spans(sf_dir: str):
     """Duplicated {K}-word spans across documents (see the family
     comment above): per-batch window hashing with per-doc combine
-    (gram -> occurrences, docs), one hash-partitioned shuffle of the
-    partials, vectorized Arrow group_by sum + HAVING filter per
-    partition. Output: one row per span seen in >1 document with its
-    document count and total occurrence count."""
+    (gram -> occurrences, docs), one gram-keyed merge of the partials,
+    vectorized Arrow group_by sum + HAVING filter per block. Output:
+    one row per span seen in >1 document with its document count and
+    total occurrence count."""
     return _dup_spans_dataset(sf_dir, sampled=False)
 
 
@@ -3334,14 +3173,19 @@ def boilerplate_span_ratio(sf_dir: str):
     once (bounded by the DUPLICATED span vocabulary — the same
     bounded-combine class as decontaminate_overlap's benchmark
     vocab, not the corpus); pass 2 is shuffle-free: each batch's
-    windows probe the raw-digest span set with one Arrow is_in."""
+    windows probe the raw-digest span set with one Arrow is_in. With
+    no duplicated span every block of the merge is empty, most of them
+    without columns, and so is the collected frame: the span set is
+    then empty."""
     import ray
 
     dup = (
         dup_ngram_spans(sf_dir).select_columns(["gram"]).to_pandas()
     )  # bounded: duplicated spans only
     bcast = ray.put(
-        pa.array([bytes.fromhex(g) for g in dup["gram"]], pa.binary())
+        pa.array(
+            [bytes.fromhex(g) for g in dup.get("gram", ())], pa.binary()
+        )
     )
 
     def ratio(t: pa.Table) -> pa.Table:

@@ -369,7 +369,7 @@ def test_connected_components_chain_and_clique(ray_session):
             }
         )
     )
-    labels = _connected_components(pairs, parts=4).to_pandas()
+    labels = _connected_components(pairs).to_pandas()
     got = labels.groupby("key")["val"].min().to_dict()
     want = {**{i: 100 for i in range(100, 112)},
             **{3: 3, 5: 3, 7: 3}, 900: 900, 901: 900}
@@ -396,7 +396,41 @@ def test_connected_components_diameter_guard(ray_session, monkeypatch):
         )
     )
     with pytest.raises(RuntimeError, match="did not converge"):
-        t._connected_components(pairs, parts=2)
+        t._connected_components(pairs)
+
+
+def test_connected_components_keeps_block_count(ray_session, monkeypatch):
+    """Every propagation round runs on the edge set's block count: a
+    10-node path on a 4-block edge set takes ~10 rounds, and a round
+    that unions labels with the edges without repartitioning adds the
+    edge set's blocks again each time (4 -> 40 blocks, most of them
+    empty)."""
+    import pyarrow as pa
+    import ray.data
+
+    from raycrawl.pipelines.textops import _connected_components
+
+    blocks = []
+    materialize = ray.data.Dataset.materialize
+
+    def spy(self):
+        out = materialize(self)
+        blocks.append(out.num_blocks())
+        return out
+
+    monkeypatch.setattr(ray.data.Dataset, "materialize", spy)
+    chain = [(i, i + 1) for i in range(9)]
+    a, b = np.array(chain).T
+    pairs = ray.data.from_arrow(
+        [pa.table({"doc_a": a[i::4], "doc_b": b[i::4]}) for i in range(4)]
+    )
+    labels = _connected_components(pairs).to_pandas()
+    assert labels.groupby("key")["val"].min().to_dict() == {
+        i: 0 for i in range(10)
+    }
+    # the edge set, the seed round, then one materialize per round
+    assert len(blocks) >= 10
+    assert blocks == [4] * len(blocks)
 
 
 def test_sampled_spans_are_exact_restriction_of_full(ray_session):
@@ -642,6 +676,95 @@ def test_tokenizer_queries_match_twins_on_edge_docs(ray_session, edge_sf, name):
         # (the twin's dl CTE alone would drop them): every doc holding
         # a query term scores, and only those
         assert sorted(got["doc_id"]) == [1, 2, 3, 7, 8, 12]
+
+
+def test_boilerplate_span_ratio_without_shared_spans(ray_session, tmp_path):
+    """No 8-word span is shared by two docs: the duplicated-span set is
+    empty, and boilerplate_span_ratio still equals its twin (every doc
+    with a window has n_dup_windows = 0)."""
+    import duckdb
+    import pandas as pd
+    import pyarrow as pa
+
+    from raycrawl.pipelines.analytics import ORACLES
+    from raycrawl.pipelines.textops import boilerplate_span_ratio
+
+    texts = [
+        "one two three four five six seven eight nine",
+        "alpha beta gamma delta epsilon zeta eta theta",
+        "too short",
+    ]
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": pa.array([1, 2, 3], pa.int64()),
+                "text": pa.array(texts, pa.string()),
+            }
+        ),
+        tmp_path / "documents.parquet",
+    )
+    got = boilerplate_span_ratio(str(tmp_path)).to_pandas()
+    con = duckdb.connect()
+    con.execute(
+        "CREATE VIEW documents AS SELECT * FROM "
+        f"read_parquet('{tmp_path}/documents.parquet')"
+    )
+    want = con.sql(ORACLES["boilerplate_span_ratio"]).df()
+
+    def norm(df):
+        return df[sorted(df.columns)].sort_values("doc_id").reset_index(
+            drop=True
+        )
+
+    pd.testing.assert_frame_equal(norm(got), norm(want), check_dtype=False)
+    assert sorted(got["doc_id"]) == [1, 2]
+    assert (got["n_dup_windows"] == 0).all()
+
+
+# every query whose keyed merges go through _by_key in textops, plus one
+# analytics per-key query; link_pagerank runs in the same sweep
+KEYED_QUERIES = [
+    "text_exact_dedup", "minhash_lsh_dupes", "near_dup_clusters",
+    "dedup_keep_best", "embedding_dup_clusters", "term_doc_frequency",
+    "dup_ngram_spans", "dedup_first_by_key",
+]
+
+
+def test_keyed_merges_invariant_to_block_count(ray_session, monkeypatch):
+    """The keyed merges' output depends on the data only: the same
+    frames at 1, 3 and 16 blocks as at the default blocking (the read
+    block counts _nblocks and _pool_size set, and the pages' block
+    count for link_pagerank). At the default blocking every textops
+    merge's blocks also concatenate: none is a schema-less empty
+    block."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray
+
+    import raycrawl.pipelines.textops as t
+    from raycrawl.pipelines import analytics
+    from raycrawl.pipelines.analytics import QUERIES
+    from raycrawl.pipelines.linkgraph import _pagerank_dataset
+
+    def norm(ds):
+        df = ds.to_pandas()
+        df = df[sorted(df.columns)]
+        return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+    def run(parts=None):
+        out = {name: norm(QUERIES[name](SF)) for name in KEYED_QUERIES}
+        out["link_pagerank"] = norm(_pagerank_dataset(SF, parts=parts))
+        return out
+
+    for name in KEYED_QUERIES[:-1]:
+        refs = QUERIES[name](SF).to_arrow_refs()
+        pa.concat_tables(ray.get(refs))
+    base = run()
+    for p in (1, 3, 16):
+        monkeypatch.setattr(analytics, "_nblocks", lambda sf, tbl: p)
+        monkeypatch.setattr(t, "_pool_size", lambda cap=16: p)
+        for name, df in run(parts=p).items():
+            pd.testing.assert_frame_equal(df, base[name], obj=f"{name} P={p}")
 
 
 def _quality_score_ref(text: str) -> float:
